@@ -1,16 +1,24 @@
 #include "runner/result_cache.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <system_error>
 #include <thread>
 #include <utility>
 
 #include "util/byteio.h"
+#include "util/logging.h"
 
 namespace rave::runner {
 
@@ -35,6 +43,34 @@ uint64_t NowSteadyUs() {
           .count());
 }
 
+/// Owns a POSIX file descriptor; closes it on scope exit.
+class FileDescriptor {
+ public:
+  explicit FileDescriptor(int fd) : fd_(fd) {}
+  ~FileDescriptor() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  FileDescriptor(const FileDescriptor&) = delete;
+  FileDescriptor& operator=(const FileDescriptor&) = delete;
+
+  int get() const { return fd_; }
+
+ private:
+  int fd_;
+};
+
+/// Reads exactly `size` bytes; false on a read error or an early end.
+bool ReadFully(int fd, uint8_t* out, size_t size) {
+  while (size > 0) {
+    const ssize_t n = ::read(fd, out, size);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    out += n;
+    size -= static_cast<size_t>(n);
+  }
+  return true;
+}
+
 }  // namespace
 
 ResultCache::ResultCache(Options options) : options_(std::move(options)) {
@@ -54,14 +90,24 @@ std::optional<std::string> ResultCache::DirFromEnv() {
 
 uint64_t ResultCache::MaxDiskBytesFromEnv() {
   const char* mb = std::getenv("RAVE_CACHE_MAX_MB");
-  if (mb != nullptr && mb[0] != '\0') {
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(mb, &end, 10);
-    if (end != mb && *end == '\0' && parsed > 0) {
-      return static_cast<uint64_t>(parsed) * 1024 * 1024;
-    }
+  return ParseMaxDiskMb(mb == nullptr ? "" : mb);
+}
+
+uint64_t ResultCache::ParseMaxDiskMb(std::string_view mb) {
+  const uint64_t fallback = Options{}.max_disk_bytes;
+  if (mb.empty()) return fallback;
+  constexpr uint64_t kMaxMb = std::numeric_limits<uint64_t>::max() >> 20;
+  // from_chars takes no sign and no whitespace for an unsigned value.
+  uint64_t parsed = 0;
+  const char* end = mb.data() + mb.size();
+  const auto [stop, ec] = std::from_chars(mb.data(), end, parsed);
+  if (ec != std::errc() || stop != end || parsed == 0 || parsed > kMaxMb) {
+    RAVE_LOG(kWarning) << "RAVE_CACHE_MAX_MB=\"" << mb
+                       << "\" is not a positive MiB count below 2^44; using "
+                       << (fallback >> 20) << " MiB";
+    return fallback;
   }
-  return Options{}.max_disk_bytes;
+  return parsed << 20;
 }
 
 rtc::SessionResult ResultCache::GetOrCompute(
@@ -185,12 +231,11 @@ std::string ResultCache::BlobPath(const SessionKey& key) const {
 
 ResultCache::EntryPtr ResultCache::LoadBlob(const SessionKey& key) {
   if (options_.dir.empty()) return nullptr;
-  std::ifstream in(BlobPath(key), std::ios::binary);
-  if (!in) return nullptr;  // plain miss, not corruption
-
-  std::vector<uint8_t> blob((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-  in.close();
+  // O_NONBLOCK keeps a FIFO at the blob path from blocking the open; it
+  // changes nothing for regular files.
+  const FileDescriptor fd(
+      ::open(BlobPath(key).c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK));
+  if (fd.get() < 0) return nullptr;  // plain miss, not corruption
 
   const auto reject = [this]() -> EntryPtr {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -198,7 +243,21 @@ ResultCache::EntryPtr ResultCache::LoadBlob(const SessionKey& key) {
     return nullptr;
   };
 
-  ByteReader r(blob);
+  // Size the buffer from the open file, not the path, so an atomic rename
+  // in between cannot make size and contents disagree. A directory, device
+  // or FIFO, or a blob over the cap, is rejected before anything is
+  // allocated.
+  struct stat st = {};
+  if (::fstat(fd.get(), &st) != 0 || !S_ISREG(st.st_mode) ||
+      st.st_size < 0 ||
+      static_cast<uint64_t>(st.st_size) > options_.max_disk_bytes) {
+    return reject();
+  }
+  const size_t size = static_cast<size_t>(st.st_size);
+  const auto blob = std::make_unique_for_overwrite<uint8_t[]>(size);
+  if (!ReadFully(fd.get(), blob.get(), size)) return reject();
+
+  ByteReader r(blob.get(), size);
   char magic[4] = {};
   for (char& c : magic) c = static_cast<char>(r.U8());
   if (!r.ok() || std::memcmp(magic, kMagic, 4) != 0) return reject();
@@ -210,17 +269,17 @@ ResultCache::EntryPtr ResultCache::LoadBlob(const SessionKey& key) {
   const uint64_t payload_size = r.U64();
   const uint64_t sum_hi = r.U64();
   const uint64_t sum_lo = r.U64();
-  if (!r.ok() || payload_size != blob.size() - r.pos()) return reject();
+  if (!r.ok() || payload_size != size - r.pos()) return reject();
 
-  const uint8_t* payload = blob.data() + r.pos();
+  const std::span<const uint8_t> payload(blob.get() + r.pos(),
+                                         static_cast<size_t>(payload_size));
   const SessionKey sum =
-      HashBytes(payload, static_cast<size_t>(payload_size), kBlobVersion);
+      HashBytes(payload.data(), payload.size(), kBlobVersion);
   if (sum.hi != sum_hi || sum.lo != sum_lo) return reject();
 
   auto entry = std::make_shared<Entry>();
   entry->compute_us = compute_us;
-  std::vector<uint8_t> payload_copy(payload, payload + payload_size);
-  if (!DecodeResult(payload_copy, &entry->result)) return reject();
+  if (!DecodeResult(payload, &entry->result)) return reject();
   return entry;
 }
 
@@ -272,11 +331,19 @@ void ResultCache::StoreBlob(const SessionKey& key, const Entry& entry) {
     fs::remove(tmp_path, ec);
     return;
   }
+  bool sweep = true;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.stores;
+    // The first store seeds the count with a sweep; later stores add their
+    // bytes (an overwrite counts twice until the next sweep corrects it) and
+    // sweep only once the count passes the cap.
+    if (disk_bytes_) {
+      *disk_bytes_ += w.bytes().size() + payload.size();
+      sweep = *disk_bytes_ > options_.max_disk_bytes;
+    }
   }
-  EvictOverCap();
+  if (sweep) EvictOverCap();
 }
 
 void ResultCache::EvictOverCap() {
@@ -300,22 +367,29 @@ void ResultCache::EvictOverCap() {
     files.push_back({e.path(), size, mtime});
     total += size;
   }
-  if (total <= options_.max_disk_bytes) return;
+  // A directory that cannot be listed leaves the count as it was; the next
+  // store that needs a sweep tries again.
+  if (ec) return;
 
-  std::sort(files.begin(), files.end(),
-            [](const BlobFile& a, const BlobFile& b) {
-              return a.mtime < b.mtime;
-            });
-  for (const BlobFile& f : files) {
-    if (total <= options_.max_disk_bytes) break;
-    std::error_code rm_ec;
-    // Another process may have evicted it first; only count our removals.
-    if (fs::remove(f.path, rm_ec) && !rm_ec) {
-      total -= f.size;
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.evictions;
+  uint64_t evicted = 0;
+  if (total > options_.max_disk_bytes) {
+    std::sort(files.begin(), files.end(),
+              [](const BlobFile& a, const BlobFile& b) {
+                return a.mtime < b.mtime;
+              });
+    for (const BlobFile& f : files) {
+      if (total <= options_.max_disk_bytes) break;
+      std::error_code rm_ec;
+      // Another process may have evicted it first; only count our removals.
+      if (fs::remove(f.path, rm_ec) && !rm_ec) {
+        total -= f.size;
+        ++evicted;
+      }
     }
   }
+  std::lock_guard<std::mutex> lock(mutex_);
+  stats_.evictions += evicted;
+  disk_bytes_ = total;
 }
 
 // --- SessionResult blob codec -----------------------------------------------
@@ -409,7 +483,7 @@ std::vector<uint8_t> ResultCache::EncodeResult(
   return w.Take();
 }
 
-bool ResultCache::DecodeResult(const std::vector<uint8_t>& payload,
+bool ResultCache::DecodeResult(std::span<const uint8_t> payload,
                                rtc::SessionResult* out) {
   ByteReader r(payload);
   rtc::SessionResult res;

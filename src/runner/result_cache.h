@@ -10,7 +10,8 @@
 //    directory) never expose partial files.
 //
 // The disk tier is fail-safe by construction: a truncated, corrupted,
-// version-mismatched, or fingerprint-mismatched blob is treated as a miss —
+// version-mismatched, or fingerprint-mismatched blob, or anything at a blob
+// path that is not a regular file no larger than the size cap, is a miss —
 // the session is recomputed and the blob overwritten. The cache can slow a
 // run down (never) or lose entries (harmless); it cannot crash a run or
 // serve stale results, because the key embeds kSimFingerprint and the blob
@@ -25,7 +26,9 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -48,6 +51,10 @@ class ResultCache {
     /// On-disk store directory; empty = in-memory tier only.
     std::string dir;
     /// Disk-tier size cap; oldest blobs (by mtime) are evicted past it.
+    /// Best-effort: each instance tracks the directory's size from its own
+    /// stores and lists the directory only at its first store and when its
+    /// count passes the cap, so other processes' stores show up at the next
+    /// such sweep. A blob larger than the cap is never loaded.
     uint64_t max_disk_bytes = 512ull * 1024 * 1024;
   };
 
@@ -58,7 +65,8 @@ class ResultCache {
     uint64_t computes = 0;
     /// Blobs written to disk.
     uint64_t stores = 0;
-    /// Disk entries rejected (bad magic/version/fingerprint/checksum/decode).
+    /// Disk entries rejected (bad magic/version/fingerprint/checksum/decode,
+    /// not a regular file, unreadable, or larger than max_disk_bytes).
     uint64_t corrupt = 0;
     /// Blobs removed by the size-cap sweep.
     uint64_t evictions = 0;
@@ -99,15 +107,20 @@ class ResultCache {
 
   /// Reads RAVE_CACHE_DIR; nullopt when unset or empty.
   static std::optional<std::string> DirFromEnv();
-  /// Reads RAVE_CACHE_MAX_MB; Options{} default when unset or malformed.
+  /// Reads RAVE_CACHE_MAX_MB through ParseMaxDiskMb.
   static uint64_t MaxDiskBytesFromEnv();
+  /// Parses a RAVE_CACHE_MAX_MB value: a positive decimal MiB count whose
+  /// byte count fits in 64 bits. Empty gives the Options{} default; a sign,
+  /// whitespace, trailing garbage, zero or an overflowing value logs a
+  /// warning naming RAVE_CACHE_MAX_MB and gives the default too.
+  static uint64_t ParseMaxDiskMb(std::string_view mb);
 
   // --- blob codec, exposed for tests ---
 
   /// Payload encoding of a SessionResult (field-by-field, little-endian).
   static std::vector<uint8_t> EncodeResult(const rtc::SessionResult& result);
   /// Inverse of EncodeResult; false on any truncation/garbage.
-  static bool DecodeResult(const std::vector<uint8_t>& payload,
+  static bool DecodeResult(std::span<const uint8_t> payload,
                            rtc::SessionResult* out);
 
  private:
@@ -119,11 +132,14 @@ class ResultCache {
 
   /// Disk-tier blob path for a key.
   std::string BlobPath(const SessionKey& key) const;
-  /// Loads and fully validates a blob; nullptr on miss or corruption.
+  /// Loads a blob with one sized read and decodes it in place after full
+  /// validation; nullptr on miss or corruption.
   EntryPtr LoadBlob(const SessionKey& key);
-  /// Writes a blob atomically (temp + rename), then runs the eviction sweep.
+  /// Writes a blob atomically (temp + rename) and adds its bytes to
+  /// disk_bytes_; sweeps when the count is unseeded or over the cap.
   void StoreBlob(const SessionKey& key, const Entry& entry);
-  /// Deletes oldest blobs until the directory fits the size cap.
+  /// Lists the directory, deletes oldest blobs until it fits the size cap,
+  /// and sets disk_bytes_ to what remains.
   void EvictOverCap();
 
   Options options_;
@@ -131,6 +147,10 @@ class ResultCache {
   mutable std::mutex mutex_;
   std::unordered_map<SessionKey, std::shared_future<EntryPtr>> inflight_;
   Stats stats_;
+  /// Bytes of blobs in the directory as of the last sweep plus this
+  /// instance's stores since; nullopt until the first store's sweep, so a
+  /// read-only pass never lists the directory.
+  std::optional<uint64_t> disk_bytes_;
 };
 
 }  // namespace rave::runner

@@ -4,12 +4,15 @@
 #include "runner/result_cache.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,6 +39,15 @@ std::string FreshDir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/rave_cache_" + name;
   fs::remove_all(dir);
   return dir;
+}
+
+/// Total bytes of the blobs in `dir`.
+uint64_t BlobBytes(const std::string& dir) {
+  uint64_t total = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == ".rrc") total += entry.file_size();
+  }
+  return total;
 }
 
 void ExpectBitIdentical(const rtc::SessionResult& a,
@@ -176,25 +188,28 @@ TEST(ResultCacheTest, CorruptedBlobsAreMissesNotCrashes) {
   }
   ASSERT_GT(pristine.size(), 64u);
 
+  constexpr size_t kNoFlip = SIZE_MAX;
   struct Corruption {
     const char* name;
-    size_t resize;   // 0 = keep size
-    size_t flip_at;  // byte to XOR when resize == 0
+    size_t size;     // length of the corrupted file
+    size_t flip_at;  // byte to XOR, or kNoFlip
   };
+  const size_t full = pristine.size();
   const Corruption corruptions[] = {
-      {"bad magic", 0, 0},
-      {"bad header", 0, 24},
-      {"bad payload", 0, pristine.size() - 9},
-      {"truncated header", 16, 0},
-      {"truncated payload", pristine.size() / 2, 0},
-      {"empty file", 1, 0},
+      {"bad magic", full, 0},
+      {"bad header", full, 24},
+      {"bad payload", full, full - 9},
+      {"truncated header", 16, kNoFlip},
+      {"truncated payload", full / 2, kNoFlip},
+      {"one-byte file", 1, kNoFlip},
+      {"empty file", 0, kNoFlip},
+      {"bytes appended", full + 16, kNoFlip},
   };
   for (const Corruption& c : corruptions) {
     SCOPED_TRACE(c.name);
     std::vector<char> bytes = pristine;
-    if (c.resize > 0) {
-      bytes.resize(c.resize);
-    } else {
+    bytes.resize(c.size);  // appended bytes are zeros
+    if (c.flip_at != kNoFlip) {
       bytes[c.flip_at] = static_cast<char>(bytes[c.flip_at] ^ 0x5a);
     }
     {
@@ -213,6 +228,62 @@ TEST(ResultCacheTest, CorruptedBlobsAreMissesNotCrashes) {
   runner::ResultCache cache({dir});
   cache.GetOrCompute(key, compute);
   EXPECT_EQ(cache.stats().disk_hits, 1u);
+  fs::remove_all(dir);
+}
+
+// Something other than a regular file at the blob path is a counted miss:
+// no throw, no hang, no allocation sized from a bogus length.
+TEST(ResultCacheTest, NonRegularFileAtBlobPathIsAMiss) {
+  const auto config = SmallConfig();
+  const runner::SessionKey key = runner::ComputeSessionKey(config);
+  auto compute = [&] { return rtc::RunSession(config); };
+  const rtc::SessionResult reference = rtc::RunSession(config);
+
+  struct Squatter {
+    const char* name;
+    bool (*make)(const std::string& path);
+  };
+  const Squatter squatters[] = {
+      {"directory",
+       [](const std::string& path) { return fs::create_directory(path); }},
+      // Opening a FIFO for reading would block until a writer appears.
+      {"fifo",
+       [](const std::string& path) { return ::mkfifo(path.c_str(), 0600) == 0; }},
+  };
+  for (const Squatter& s : squatters) {
+    SCOPED_TRACE(s.name);
+    const std::string dir = FreshDir(std::string("squat_") + s.name);
+    fs::create_directories(dir);
+    ASSERT_TRUE(s.make(dir + "/" + key.ToHex() + ".rrc"));
+
+    runner::ResultCache cache({dir});
+    rtc::SessionResult recomputed;
+    EXPECT_NO_THROW(recomputed = cache.GetOrCompute(key, compute));
+    ExpectBitIdentical(reference, recomputed);
+    EXPECT_EQ(cache.stats().corrupt, 1u);
+    EXPECT_EQ(cache.stats().computes, 1u);
+    fs::remove_all(dir);
+  }
+}
+
+TEST(ResultCacheTest, BlobLargerThanCapIsAMiss) {
+  const std::string dir = FreshDir("oversize");
+  const auto config = SmallConfig();
+  const runner::SessionKey key = runner::ComputeSessionKey(config);
+  auto compute = [&] { return rtc::RunSession(config); };
+  rtc::SessionResult reference;
+  {
+    runner::ResultCache cache({dir});
+    reference = cache.GetOrCompute(key, compute);
+  }
+  runner::ResultCache::Options options;
+  options.dir = dir;
+  options.max_disk_bytes = BlobBytes(dir) - 1;
+  runner::ResultCache cache(options);
+  ExpectBitIdentical(reference, cache.GetOrCompute(key, compute));
+  EXPECT_EQ(cache.stats().corrupt, 1u);
+  EXPECT_EQ(cache.stats().computes, 1u);
+  EXPECT_EQ(cache.stats().disk_hits, 0u);
   fs::remove_all(dir);
 }
 
@@ -316,6 +387,96 @@ TEST(ResultCacheTest, EvictionKeepsDirectoryUnderCap) {
   }
   EXPECT_LE(blobs, 1u);
   fs::remove_all(dir);
+}
+
+// The size count starts with a sweep at the first store, not at zero: a
+// cache opened on a directory another instance filled must see those blobs.
+TEST(ResultCacheTest, ReopenedCacheEnforcesCapAtFirstStore) {
+  const std::string dir = FreshDir("reopen_cap");
+  {
+    runner::ResultCache cache({dir});
+    for (uint64_t seed = 31; seed < 34; ++seed) {
+      const auto config = SmallConfig(seed);
+      cache.GetOrCompute(runner::ComputeSessionKey(config),
+                         [&] { return rtc::RunSession(config); });
+    }
+  }
+  const uint64_t filled = BlobBytes(dir);
+
+  // One more blob fits a cap of `filled` only if the count ignores the
+  // blobs already there.
+  runner::ResultCache::Options options;
+  options.dir = dir;
+  options.max_disk_bytes = filled;
+  runner::ResultCache cache(options);
+  const auto config = SmallConfig(34);
+  cache.GetOrCompute(runner::ComputeSessionKey(config),
+                     [&] { return rtc::RunSession(config); });
+  EXPECT_EQ(cache.stats().stores, 1u);
+  EXPECT_GE(cache.stats().evictions, 1u);
+  EXPECT_LE(BlobBytes(dir), filled);
+  fs::remove_all(dir);
+}
+
+TEST(ResultCacheTest, WarmReadOnlyPassTouchesNoBlob) {
+  const std::string dir = FreshDir("warm_readonly");
+  std::vector<rtc::SessionConfig> configs;
+  for (uint64_t seed = 41; seed < 44; ++seed) configs.push_back(SmallConfig(seed));
+  {
+    runner::ResultCache cache({dir});
+    for (const auto& config : configs) {
+      cache.GetOrCompute(runner::ComputeSessionKey(config),
+                         [&] { return rtc::RunSession(config); });
+    }
+  }
+  // Backdate every blob so a rewrite or touch would show at any mtime
+  // granularity.
+  const auto old = fs::file_time_type::clock::now() - std::chrono::hours(24);
+  std::map<fs::path, fs::file_time_type> mtimes;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    fs::last_write_time(entry.path(), old);
+    mtimes[entry.path()] = fs::last_write_time(entry.path());
+  }
+  ASSERT_EQ(mtimes.size(), configs.size());
+
+  runner::ResultCache::Options options;
+  options.dir = dir;
+  options.max_disk_bytes = BlobBytes(dir) * 2;
+  runner::ResultCache cache(options);
+  for (const auto& config : configs) {
+    cache.GetOrCompute(runner::ComputeSessionKey(config),
+                       [&]() -> rtc::SessionResult {
+                         ADD_FAILURE() << "disk hit expected; compute ran";
+                         return rtc::RunSession(config);
+                       });
+  }
+  EXPECT_EQ(cache.stats().disk_hits, configs.size());
+  EXPECT_EQ(cache.stats().stores, 0u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  std::map<fs::path, fs::file_time_type> after;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    after[entry.path()] = fs::last_write_time(entry.path());
+  }
+  EXPECT_EQ(after, mtimes);
+  fs::remove_all(dir);
+}
+
+TEST(ResultCacheTest, ParseMaxDiskMbRejectsWhatWouldWrap) {
+  using runner::ResultCache;
+  const uint64_t fallback = ResultCache::Options{}.max_disk_bytes;
+  EXPECT_EQ(ResultCache::ParseMaxDiskMb(""), fallback);
+  EXPECT_EQ(ResultCache::ParseMaxDiskMb("1"), 1ull << 20);
+  EXPECT_EQ(ResultCache::ParseMaxDiskMb("512"), 512ull << 20);
+  // 2^44 - 1 MiB is the largest count whose byte count fits in 64 bits.
+  EXPECT_EQ(ResultCache::ParseMaxDiskMb("17592186044415"),
+            ((1ull << 44) - 1) << 20);
+  // 2^44 MiB is exactly 2^64 bytes: it used to wrap to a cap of 0.
+  for (const char* bad :
+       {"17592186044416", "18446744073709551615", "99999999999999999999999",
+        "-1", "+1", " 1", "1 ", "1x", "0x10", "0", "abc"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(ResultCache::ParseMaxDiskMb(bad), fallback);
+  }
 }
 
 TEST(ResultCacheTest, EnvHelpersDefaultWhenUnset) {
