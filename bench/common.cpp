@@ -6,7 +6,6 @@
 
 #include "runner/parallel_runner.h"
 #include "runner/result_cache.h"
-#include "simd/dispatch.h"
 #include "util/flags.h"
 #include "util/logging.h"
 
@@ -28,18 +27,11 @@ obs::RegistrySnapshot g_suite_metrics;
 /// entry point so history records carry per-bench quality metrics.
 obs::RegistrySnapshot g_bench_metrics;
 
-/// Process-wide lockstep batch size (see MatrixBatch).
-int g_matrix_batch = 1;
-
 }  // namespace
 
 runner::ResultCache* SuiteCache() { return g_suite_cache; }
 
 void SetSuiteCache(runner::ResultCache* cache) { g_suite_cache = cache; }
-
-int MatrixBatch() { return g_matrix_batch; }
-
-void SetMatrixBatch(int batch) { g_matrix_batch = batch > 1 ? batch : 1; }
 
 TimeDelta BenchOptions::DurationOr(TimeDelta fallback) const {
   return duration_s > 0.0 ? TimeDelta::SecondsF(duration_s) : fallback;
@@ -49,13 +41,11 @@ BenchOptions ParseBenchOptions(int argc, char** argv) {
   try {
     const Flags flags(argc - 1, argv + 1);
     for (const std::string& key : flags.UnknownKeys(
-             {"jobs", "duration", "cache-dir", "log-level", "batch", "simd",
-              "wireless"})) {
+             {"jobs", "duration", "cache-dir", "log-level", "wireless"})) {
       std::cerr << "error: unknown flag --" << key
                 << "\nusage: " << argv[0]
                 << " [--jobs=N] [--duration=SECONDS] [--cache-dir=DIR]"
                    " [--log-level=debug|info|warning|error]"
-                   " [--batch=B] [--simd=scalar|avx2|auto]"
                    " [--wireless=PROFILE]\n";
       std::exit(2);
     }
@@ -69,19 +59,7 @@ BenchOptions ParseBenchOptions(int argc, char** argv) {
                 << "' (want debug|info|warning|error)\n";
       std::exit(2);
     }
-    options.batch = static_cast<int>(flags.GetInt("batch", 1, 1, 1 << 16));
-    SetMatrixBatch(options.batch);
     options.wireless = flags.GetString("wireless", "");
-    const std::string simd_level = flags.GetString("simd", "");
-    if (!simd_level.empty()) {
-      simd::Level level;
-      if (!simd::ParseLevel(simd_level.c_str(), &level)) {
-        std::cerr << "error: bad --simd '" << simd_level
-                  << "' (want scalar|avx2|auto|off)\n";
-        std::exit(2);
-      }
-      simd::SetLevel(level);
-    }
     if (options.cache_dir.empty()) {
       if (auto env = runner::ResultCache::DirFromEnv()) {
         options.cache_dir = *env;
@@ -107,7 +85,7 @@ BenchOptions ParseBenchOptions(int argc, char** argv) {
 std::vector<rtc::SessionResult> RunMatrix(
     const std::vector<rtc::SessionConfig>& configs, int jobs) {
   std::vector<rtc::SessionResult> results =
-      runner::RunSessions(configs, jobs, SuiteCache(), MatrixBatch());
+      runner::RunSessions(configs, jobs, SuiteCache());
   // Results arrive in submission order whatever the job count, so the
   // suite-wide merge is deterministic too.
   for (const rtc::SessionResult& result : results) {

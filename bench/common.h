@@ -36,10 +36,6 @@ struct BenchOptions {
   /// Session-result cache directory (--cache-dir / RAVE_CACHE_DIR); empty
   /// means no cache — today's exact behaviour.
   std::string cache_dir;
-  /// Lockstep batch size for the session matrix (--batch). 1 = the
-  /// per-session path; > 1 groups sessions per worker. Never changes
-  /// results, only throughput.
-  int batch = 1;
   /// Wireless-profile filter (--wireless=NAME): benches with a wireless
   /// tier restrict their matrix to this profile. Empty = all profiles.
   std::string wireless;
@@ -49,20 +45,12 @@ struct BenchOptions {
 };
 
 /// Parses `--jobs=N` / `--duration=S` / `--cache-dir=DIR` /
-/// `--log-level=LEVEL` / `--batch=B` / `--simd=scalar|avx2|auto`. Exits
-/// (status 2) on unknown flags so typos fail loudly. Every bench binary
-/// calls this first. When a cache directory is configured (flag, or the
-/// RAVE_CACHE_DIR environment variable) and no suite cache is already
-/// installed, this creates a process-wide ResultCache that RunMatrix then
-/// consults. `--batch` installs the process-wide MatrixBatch(); `--simd`
-/// forces the simd dispatch level (like the RAVE_SIMD environment
-/// variable).
+/// `--log-level=LEVEL` / `--wireless=PROFILE`. Exits (status 2) on unknown
+/// flags so typos fail loudly. Every bench binary calls this first. When a
+/// cache directory is configured (flag, or the RAVE_CACHE_DIR environment
+/// variable) and no suite cache is already installed, this creates a
+/// process-wide ResultCache that RunMatrix then consults.
 BenchOptions ParseBenchOptions(int argc, char** argv);
-
-/// The process-wide lockstep batch size RunMatrix passes to the runner
-/// (default 1). Set by ParseBenchOptions from --batch, like SuiteCache.
-int MatrixBatch();
-void SetMatrixBatch(int batch);
 
 /// The process-wide session-result cache (nullptr = caching disabled).
 /// `run_suite` installs one shared cache before invoking each bench entry

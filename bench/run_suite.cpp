@@ -16,8 +16,8 @@
 //                between cold and warm passes and across job counts.
 //   "sketches" — one line per merged quantile sketch: exact count/sum/
 //                min/max, the standard percentile ladder, and the encoded
-//                sketch blob as hex. Byte-identical across --jobs, --batch,
-//                cache temperature, and merge order (the sketch's core
+//                sketch blob as hex. Byte-identical across --jobs, cache
+//                temperature, and merge order (the sketch's core
 //                contract); determinism gates compare this section directly.
 //   "runtime"  — host-side wall-clock / allocation roll-ups from
 //                obs::RuntimeStats plus cache hit rates; excluded from
@@ -31,7 +31,7 @@
 // stderr-only heartbeat while the suite runs.
 //
 // Usage:
-//   run_suite [--jobs=N] [--batch=B] [--duration=SECONDS] [--cache-dir=DIR]
+//   run_suite [--jobs=N] [--duration=SECONDS] [--cache-dir=DIR]
 //             [--out-dir=DIR] [--only=fig1_timeline,tab5_schemes,...]
 //             [--history=FILE] [--baseline=FILE] [--wall-band=FACTOR]
 //             [--progress] [--log-level=LEVEL] [--list] [--version]
@@ -133,7 +133,7 @@ void WriteMetricsJson(std::ostream& json, const char* indent,
 
 /// The determinism-gated "sketches" section: one single-line JSON object per
 /// merged quantile sketch, values formatted bit-exactly, plus the encoded
-/// sketch as hex. Gates byte-compare these lines across --jobs/--batch/
+/// sketch as hex. Gates byte-compare these lines across --jobs and
 /// cache-temperature variants — the hex blob makes any internal divergence
 /// (not just percentile drift) visible.
 void WriteSketchesJson(std::ostream& json, const char* indent,
@@ -261,7 +261,6 @@ int main(int argc, char** argv) {
   namespace runner = rave::runner;
 
   int jobs = 0;
-  int batch = 1;
   double duration_s = 0.0;
   double wall_band = 1.5;
   bool progress = false;
@@ -273,11 +272,11 @@ int main(int argc, char** argv) {
   try {
     const Flags flags(argc - 1, argv + 1);
     for (const std::string& key : flags.UnknownKeys(
-             {"jobs", "batch", "duration", "cache-dir", "out-dir", "benches",
+             {"jobs", "duration", "cache-dir", "out-dir", "benches",
               "only", "log-level", "list", "version", "history", "baseline",
               "wall-band", "progress"})) {
       std::cerr << "error: unknown flag --" << key << "\nusage: " << argv[0]
-                << " [--jobs=N] [--batch=B] [--duration=SECONDS]"
+                << " [--jobs=N] [--duration=SECONDS]"
                    " [--cache-dir=DIR] [--out-dir=DIR] [--only=name,name,...]"
                    " [--history=FILE] [--baseline=FILE] [--wall-band=FACTOR]"
                    " [--progress] [--log-level=LEVEL] [--list] [--version]\n";
@@ -292,7 +291,6 @@ int main(int argc, char** argv) {
       return 0;
     }
     jobs = static_cast<int>(flags.GetInt("jobs", 0, 0, 1 << 16));
-    batch = static_cast<int>(flags.GetInt("batch", 1, 1, 1 << 16));
     duration_s = flags.GetDouble("duration", 0.0);
     wall_band = flags.GetDouble("wall-band", 1.5);
     progress = flags.GetBool("progress", false);
@@ -384,7 +382,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> bench_args;
   bench_args.push_back("run_suite");
   bench_args.push_back("--jobs=" + std::to_string(jobs));
-  bench_args.push_back("--batch=" + std::to_string(batch));
   if (duration_s > 0.0) {
     std::ostringstream d;
     d << "--duration=" << duration_s;
@@ -517,7 +514,7 @@ int main(int argc, char** argv) {
   json << "  ],\n";
 
   // The merged quantile sketches, bit-exact values plus the encoded blob as
-  // hex. Determinism gates byte-compare these lines across jobs/batch/cache
+  // hex. Determinism gates byte-compare these lines across jobs/cache
   // variants; any divergence in the merge shows up here first.
   json << "  \"sketches\": [\n";
   WriteSketchesJson(json, "    ", bench::SuiteMetrics());

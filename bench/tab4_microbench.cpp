@@ -16,16 +16,10 @@
 // RAVE_ALLOC_PROBE option — the steady-state allocation counts per
 // event-loop cycle and per encoded frame, recorded in BENCH_hotpath.json.
 //
-// A lockstep batch sweep follows: the same session matrix and the distilled
-// per-frame control loop (runner/control_loop.h) each run at batch=1 vs
-// batch=B on one core, equality-checked, reporting sim-seconds simulated
-// per wall-second — the number the SoA/simd batching is meant to move.
-//
-// Flags: --jobs=N (parallel worker count, default hardware concurrency),
-//        --runner-sessions=N (matrix size, default 64),
-//        --runner-duration=S (simulated seconds per session, default 30),
-//        --batch=B (lockstep batch size for the sweep, default 16),
-//        --simd=scalar|avx2|auto (force the kernel dispatch level),
+// Flags: --jobs=N (parallel worker count, default 0 = hardware concurrency),
+//        --runner-sessions=N (matrix size >= 1, default 64),
+//        --runner-duration=S (simulated seconds per session, > 0, default
+//        30),
 //        --json=PATH (default BENCH_runner.json; "-" disables),
 //        --hotpath-json=PATH (default BENCH_hotpath.json; "-" disables),
 //        --smoke (skip the google-benchmark loop, shrink the matrix),
@@ -39,6 +33,7 @@
 #include <iostream>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,10 +48,8 @@
 #include "obs/sketch.h"
 #include "obs/stage_timer.h"
 #include "rtc/session.h"
-#include "runner/control_loop.h"
 #include "runner/parallel_runner.h"
 #include "sim/event_loop.h"
-#include "simd/dispatch.h"
 #include "util/alloc_probe.h"
 #include "util/byteio.h"
 #include "util/flags.h"
@@ -499,50 +492,6 @@ bool SameResults(const std::vector<rtc::SessionResult>& a,
   return true;
 }
 
-// --- lockstep batch sweep ---------------------------------------------
-
-/// The per-frame control-loop hot path (see runner/control_loop.h) over the
-/// fig2-style matrix: the drop-trace suite x every content class. This is
-/// the distilled math the SoA/simd batching targets — rate control, R-D
-/// model, trendline — without the event-loop/transport machinery around it.
-runner::ControlLoopConfig ControlSweepConfig(TimeDelta duration) {
-  runner::ControlLoopConfig config;
-  config.duration = duration;
-  uint64_t seed = 0;
-  for (const auto& [name, trace] : bench::TraceSuite(duration)) {
-    for (video::ContentClass content : video::kAllContentClasses) {
-      config.lanes.push_back({content, ++seed, trace});
-    }
-  }
-  return config;
-}
-
-struct ControlSweep {
-  size_t lanes = 0;
-  double sim_seconds = 0;
-  double scalar_wall_s = 0;
-  double batched_wall_s = 0;
-  bool identical = false;
-};
-
-ControlSweep MeasureControlSweep(TimeDelta duration, int batch) {
-  ControlSweep sweep;
-  const runner::ControlLoopConfig config = ControlSweepConfig(duration);
-  sweep.lanes = config.lanes.size();
-  sweep.sim_seconds = static_cast<double>(sweep.lanes) * duration.seconds();
-
-  auto scalar_start = std::chrono::steady_clock::now();
-  const auto scalar = runner::RunControlLoop(config, /*batch=*/1);
-  sweep.scalar_wall_s = WallSeconds(scalar_start);
-
-  auto batched_start = std::chrono::steady_clock::now();
-  const auto batched = runner::RunControlLoop(config, batch);
-  sweep.batched_wall_s = WallSeconds(batched_start);
-
-  sweep.identical = scalar == batched;
-  return sweep;
-}
-
 // --- per-stage breakdown ----------------------------------------------
 
 /// Wall-clock attribution of a jobs=1 run of `configs` to the hot-path
@@ -571,11 +520,11 @@ struct StageBreakdown {
 };
 
 StageBreakdown MeasureStageBreakdown(
-    const std::vector<rtc::SessionConfig>& configs, int batch) {
+    const std::vector<rtc::SessionConfig>& configs) {
   obs::StageTimer::Enable(true);
   obs::StageTimer::Reset();
   const auto start = std::chrono::steady_clock::now();
-  runner::RunSessions(configs, /*jobs=*/1, /*cache=*/nullptr, batch);
+  runner::RunSessions(configs, /*jobs=*/1);
   StageBreakdown b;
   b.wall_s = WallSeconds(start);
   b.control_s = obs::StageTimer::Seconds(obs::StageTimer::kControl);
@@ -589,19 +538,13 @@ StageBreakdown MeasureStageBreakdown(
   return b;
 }
 
-void PrintBreakdownRow(Table& table, const char* stage, double serial_s,
-                       double serial_wall, double batched_s,
-                       double batched_wall) {
-  table.AddRow()
-      .Cell(stage)
-      .Cell(serial_s, 3)
-      .Cell(100.0 * serial_s / serial_wall, 1)
-      .Cell(batched_s, 3)
-      .Cell(100.0 * batched_s / batched_wall, 1);
+void PrintBreakdownRow(Table& table, const char* stage, double stage_s,
+                       double wall_s) {
+  table.AddRow().Cell(stage).Cell(stage_s, 3).Cell(100.0 * stage_s / wall_s, 1);
 }
 
 int RunThroughputSection(int sessions, TimeDelta duration, int jobs,
-                         int batch, const std::string& json_path) {
+                         const std::string& json_path) {
   const auto configs = ThroughputMatrix(sessions, duration);
 
   // Reset the process-wide runtime roll-up so the dispatched-event count
@@ -619,19 +562,9 @@ int RunThroughputSection(int sessions, TimeDelta duration, int jobs,
   const auto parallel = runner::RunSessions(configs, parallel_jobs);
   const double parallel_s = WallSeconds(parallel_start);
 
-  // Lockstep batched full sessions on one core, against the serial run.
-  const auto batched_start = std::chrono::steady_clock::now();
-  const auto batched =
-      runner::RunSessions(configs, /*jobs=*/1, /*cache=*/nullptr, batch);
-  const double batched_s = WallSeconds(batched_start);
-  const bool batch_identical = SameResults(serial, batched);
-
-  const ControlSweep control = MeasureControlSweep(duration, batch);
-
-  // Instrumented passes (separate from the timed runs above): where does a
-  // serial session's wall time go, and how does the batched path shift it?
-  const StageBreakdown stage_serial = MeasureStageBreakdown(configs, 1);
-  const StageBreakdown stage_batched = MeasureStageBreakdown(configs, batch);
+  // Instrumented pass (separate from the timed runs above): where does a
+  // serial session's wall time go?
+  const StageBreakdown stage_serial = MeasureStageBreakdown(configs);
 
   const uint64_t events = std::accumulate(
       serial.begin(), serial.end(), uint64_t{0},
@@ -669,71 +602,26 @@ int RunThroughputSection(int sessions, TimeDelta duration, int jobs,
               << "x train amortization)\n";
   }
 
-  // Batch sweep: sim-seconds simulated per wall-second on ONE core, the
-  // number the SoA/simd batching moves. Full sessions batch the whole
-  // event-driven pipeline; the control-loop rows isolate the per-frame math
-  // the kernels vectorize.
-  const double session_sim_s = static_cast<double>(sessions) * duration.seconds();
-  std::cout << "\nLockstep batch sweep (batch=" << batch << ", jobs=1, simd="
-            << simd::ToString(simd::ActiveLevel()) << ")\n\n";
-  Table sweep_table({"workload", "wall(s)", "sim-s/s per core", "speedup"});
-  sweep_table.AddRow()
-      .Cell("sessions batch=1")
-      .Cell(serial_s, 3)
-      .Cell(session_sim_s / serial_s, 0)
-      .Cell(1.0, 2);
-  sweep_table.AddRow()
-      .Cell("sessions batch=" + std::to_string(batch))
-      .Cell(batched_s, 3)
-      .Cell(session_sim_s / batched_s, 0)
-      .Cell(serial_s / batched_s, 2);
-  sweep_table.AddRow()
-      .Cell("control-loop batch=1")
-      .Cell(control.scalar_wall_s, 3)
-      .Cell(control.sim_seconds / control.scalar_wall_s, 0)
-      .Cell(1.0, 2);
-  sweep_table.AddRow()
-      .Cell("control-loop batch=" + std::to_string(batch))
-      .Cell(control.batched_wall_s, 3)
-      .Cell(control.sim_seconds / control.batched_wall_s, 0)
-      .Cell(control.scalar_wall_s / control.batched_wall_s, 2);
-  sweep_table.Print(std::cout);
-  std::cout << "batched session results bit-identical to serial: "
-            << (batch_identical ? "yes" : "NO — DETERMINISM VIOLATION")
-            << "\n"
-            << "batched control-loop trajectories bit-identical to scalar: "
-            << (control.identical ? "yes" : "NO — DETERMINISM VIOLATION")
-            << "\n";
-
   // Per-stage attribution (instrumented pass; walls here include the Scope
-  // overhead and are not comparable to the speedup rows above).
+  // overhead and are not comparable to the throughput rows above).
   std::cout << "\nPer-stage wall attribution (jobs=1, instrumented pass)\n\n";
-  Table stage_table({"stage", "batch=1 (s)", "%",
-                     "batch=" + std::to_string(batch) + " (s)", "%"});
+  Table stage_table({"stage", "wall (s)", "%"});
   PrintBreakdownRow(stage_table, "rate control", stage_serial.control_s,
-                    stage_serial.wall_s, stage_batched.control_s,
-                    stage_batched.wall_s);
+                    stage_serial.wall_s);
   PrintBreakdownRow(stage_table, "R-D math", stage_serial.rd_s,
-                    stage_serial.wall_s, stage_batched.rd_s,
-                    stage_batched.wall_s);
+                    stage_serial.wall_s);
   PrintBreakdownRow(stage_table, "trendline/GCC", stage_serial.trendline_s,
-                    stage_serial.wall_s, stage_batched.trendline_s,
-                    stage_batched.wall_s);
+                    stage_serial.wall_s);
   PrintBreakdownRow(stage_table, "pacer+send", stage_serial.pacer_s,
-                    stage_serial.wall_s, stage_batched.pacer_s,
-                    stage_batched.wall_s);
+                    stage_serial.wall_s);
   PrintBreakdownRow(stage_table, "link", stage_serial.link_s,
-                    stage_serial.wall_s, stage_batched.link_s,
-                    stage_batched.wall_s);
+                    stage_serial.wall_s);
   PrintBreakdownRow(stage_table, "feedback+nack", stage_serial.feedback_nack_s,
-                    stage_serial.wall_s, stage_batched.feedback_nack_s,
-                    stage_batched.wall_s);
+                    stage_serial.wall_s);
   PrintBreakdownRow(stage_table, "assembler", stage_serial.assembler_s,
-                    stage_serial.wall_s, stage_batched.assembler_s,
-                    stage_batched.wall_s);
+                    stage_serial.wall_s);
   PrintBreakdownRow(stage_table, "event loop + other", stage_serial.other_s(),
-                    stage_serial.wall_s, stage_batched.other_s(),
-                    stage_batched.wall_s);
+                    stage_serial.wall_s);
   stage_table.Print(std::cout);
 
   if (json_path != "-") {
@@ -758,25 +646,6 @@ int RunThroughputSection(int sessions, TimeDelta duration, int jobs,
          << static_cast<double>(events) / serial_s << ",\n"
          << "  \"parallel_identical\": " << (identical ? "true" : "false")
          << ",\n"
-         << "  \"batch\": " << batch << ",\n"
-         << "  \"simd\": \"" << simd::ToString(simd::ActiveLevel()) << "\",\n"
-         << "  \"session_batched_wall_s\": " << batched_s << ",\n"
-         << "  \"session_sim_s_per_s_batch1\": " << session_sim_s / serial_s
-         << ",\n"
-         << "  \"session_sim_s_per_s_batched\": " << session_sim_s / batched_s
-         << ",\n"
-         << "  \"session_batch_speedup\": " << serial_s / batched_s << ",\n"
-         << "  \"session_batch_identical\": "
-         << (batch_identical ? "true" : "false") << ",\n"
-         << "  \"control_lanes\": " << control.lanes << ",\n"
-         << "  \"control_sim_s_per_s_batch1\": "
-         << control.sim_seconds / control.scalar_wall_s << ",\n"
-         << "  \"control_sim_s_per_s_batched\": "
-         << control.sim_seconds / control.batched_wall_s << ",\n"
-         << "  \"control_batch_speedup\": "
-         << control.scalar_wall_s / control.batched_wall_s << ",\n"
-         << "  \"control_batch_identical\": "
-         << (control.identical ? "true" : "false") << ",\n"
          << "  \"stage_serial_wall_s\": " << stage_serial.wall_s << ",\n"
          << "  \"stage_serial_control_s\": " << stage_serial.control_s << ",\n"
          << "  \"stage_serial_rd_s\": " << stage_serial.rd_s << ",\n"
@@ -790,26 +659,11 @@ int RunThroughputSection(int sessions, TimeDelta duration, int jobs,
          << ",\n"
          << "  \"stage_serial_transport_s\": " << stage_serial.transport_s()
          << ",\n"
-         << "  \"stage_serial_other_s\": " << stage_serial.other_s() << ",\n"
-         << "  \"stage_batched_wall_s\": " << stage_batched.wall_s << ",\n"
-         << "  \"stage_batched_control_s\": " << stage_batched.control_s
-         << ",\n"
-         << "  \"stage_batched_rd_s\": " << stage_batched.rd_s << ",\n"
-         << "  \"stage_batched_trendline_s\": " << stage_batched.trendline_s
-         << ",\n"
-         << "  \"stage_batched_pacer_s\": " << stage_batched.pacer_s << ",\n"
-         << "  \"stage_batched_link_s\": " << stage_batched.link_s << ",\n"
-         << "  \"stage_batched_feedback_nack_s\": "
-         << stage_batched.feedback_nack_s << ",\n"
-         << "  \"stage_batched_assembler_s\": " << stage_batched.assembler_s
-         << ",\n"
-         << "  \"stage_batched_transport_s\": " << stage_batched.transport_s()
-         << ",\n"
-         << "  \"stage_batched_other_s\": " << stage_batched.other_s()
+         << "  \"stage_serial_other_s\": " << stage_serial.other_s()
          << "\n}\n";
     std::cout << "wrote " << json_path << "\n";
   }
-  return identical && batch_identical && control.identical ? 0 : 1;
+  return identical ? 0 : 1;
 }
 
 }  // namespace
@@ -821,29 +675,24 @@ int main(int argc, char** argv) {
     const rave::Flags flags(argc - 1, argv + 1);
     for (const std::string& key :
          flags.UnknownKeys({"jobs", "runner-sessions", "runner-duration",
-                            "json", "hotpath-json", "smoke", "batch",
-                            "simd"})) {
+                            "json", "hotpath-json", "smoke"})) {
       std::cerr << "error: unknown flag --" << key
                 << "\nsee the header of bench/tab4_microbench.cpp\n";
       return 2;
     }
     const bool smoke = flags.GetBool("smoke", false);
-    const int jobs = static_cast<int>(flags.GetInt("jobs", 0));
-    const int sessions =
-        static_cast<int>(flags.GetInt("runner-sessions", smoke ? 8 : 64));
-    const rave::TimeDelta duration = rave::TimeDelta::SecondsF(
-        flags.GetDouble("runner-duration", smoke ? 12.0 : 30.0));
-    const int batch = static_cast<int>(flags.GetInt("batch", 16));
-    const std::string simd_level = flags.GetString("simd", "");
-    if (!simd_level.empty()) {
-      rave::simd::Level level;
-      if (!rave::simd::ParseLevel(simd_level.c_str(), &level)) {
-        std::cerr << "error: bad --simd '" << simd_level
-                  << "' (want scalar|avx2|auto|off)\n";
-        return 2;
-      }
-      rave::simd::SetLevel(level);
+    // Bounded up front so a bad value fails before any table is printed.
+    const int jobs = static_cast<int>(flags.GetInt("jobs", 0, 0, 1 << 16));
+    const int sessions = static_cast<int>(
+        flags.GetInt("runner-sessions", smoke ? 8 : 64, 1, 1 << 20));
+    const double duration_s =
+        flags.GetDouble("runner-duration", smoke ? 12.0 : 30.0);
+    if (duration_s <= 0.0 || duration_s > 86400.0) {
+      throw std::invalid_argument(
+          "Flags: --runner-duration=" + flags.GetString("runner-duration", "") +
+          " is out of range (0, 86400]");
     }
+    const rave::TimeDelta duration = rave::TimeDelta::SecondsF(duration_s);
     const std::string json_path =
         flags.GetString("json", "BENCH_runner.json");
     const std::string hotpath_json_path =
@@ -851,8 +700,7 @@ int main(int argc, char** argv) {
 
     if (!smoke) benchmark::RunSpecifiedBenchmarks();
     rave::RunHotpathSection(smoke, hotpath_json_path);
-    return rave::RunThroughputSection(sessions, duration, jobs, batch,
-                                      json_path);
+    return rave::RunThroughputSection(sessions, duration, jobs, json_path);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 2;

@@ -49,8 +49,7 @@ BandwidthUsage TrendlineEstimator::OnDelta(const InterArrivalDelta& delta) {
 }
 
 double TrendlineEstimator::LinearFitSlope() const {
-  // Linearize oldest -> newest and delegate to the shared regression kernel
-  // (the batched stepper runs the same kernel across lanes, bit-identically).
+  // Linearize oldest -> newest and delegate to the shared regression kernel.
   double xs[kMaxWindow];
   double ys[kMaxWindow];
   const size_t cap = config_.window_size;

@@ -53,7 +53,7 @@ class TrendlineEstimator {
   Timestamp first_arrival_ = Timestamp::MinusInfinity();
   /// (arrival time since first, smoothed delay) samples in a fixed-capacity
   /// flat ring — this is a per-arrival hot container, so no deque chunks
-  /// (allocation-free) and a layout the SoA batch stepper can mirror.
+  /// (allocation-free).
   /// Oldest sample at hist_head_, newest at (hist_head_ + hist_size_ - 1).
   std::array<double, kMaxWindow> hist_x_;
   std::array<double, kMaxWindow> hist_y_;

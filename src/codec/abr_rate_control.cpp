@@ -140,10 +140,4 @@ void AbrRateControl::OnFrameEncoded(const FrameOutcome& outcome,
   last_qscale_ = outcome.qscale;
 }
 
-bool BatchCompatible(const AbrConfig& a, const AbrConfig& b) {
-  return a.fps == b.fps && a.qcomp == b.qcomp &&
-         a.rate_tolerance == b.rate_tolerance && a.qp_step == b.qp_step &&
-         a.ip_factor == b.ip_factor && a.window_seconds == b.window_seconds;
-}
-
 }  // namespace rave::codec

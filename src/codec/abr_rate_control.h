@@ -53,7 +53,6 @@ class AbrRateControl : public RateControl {
   void OnFrameEncoded(const FrameOutcome& outcome, Timestamp now) override;
   std::string name() const override { return "x264-abr"; }
   DataRate current_target() const override { return target_; }
-  AbrRateControl* AsAbr() override { return this; }
 
   const AbrConfig& config() const { return config_; }
 
@@ -62,10 +61,6 @@ class AbrRateControl : public RateControl {
   const VbvBuffer& vbv() const { return vbv_; }
 
  private:
-  /// AbrSoa gathers/scatters this controller's mutable state to execute
-  /// PlanFrame/OnFrameEncoded in batched lanes (bit-identical by the SoA
-  /// contract in codec/soa.h).
-  friend class AbrSoa;
   double ComplexityTerm(const video::RawFrame& frame, FrameType type) const;
   double Rceq(double complexity_term) const;
 
@@ -96,14 +91,5 @@ class AbrRateControl : public RateControl {
   // Stashed between PlanFrame and OnFrameEncoded for the window update.
   double planned_rceq_ = 0.0;
 };
-
-/// True when two ABR configs share every control-law constant, so their
-/// controllers can step through one `AbrSoa` block (per-lane state is
-/// gathered, but the law constants — lstep, window decay, qcomp exponent,
-/// ip_factor, abr-buffer tolerance — live once per block). `initial_target`
-/// is excluded (targets are per-lane state), and so is `vbv_window`: the
-/// staged path copies each lane's live VBV capacity instead of rebuilding it
-/// from the window.
-bool BatchCompatible(const AbrConfig& a, const AbrConfig& b);
 
 }  // namespace rave::codec

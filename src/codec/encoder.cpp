@@ -39,48 +39,16 @@ FrameType Encoder::DecideType(const video::RawFrame& frame, Timestamp now) {
 
 EncodedFrame Encoder::EncodeFrame(const video::RawFrame& frame,
                                   Timestamp now) {
-  FrameControlStep step;
-  BeginFrame(frame, now, /*defer_abr_plan=*/false, &step);
-  if (!step.guidance.skip) ComputeStepScalar(step);
-  return FinishFrame(step);
-}
-
-void Encoder::BeginFrame(const video::RawFrame& frame, Timestamp now,
-                         bool defer_abr_plan, FrameControlStep* step) {
-  // Full reset: the session reuses one step object across frames.
-  *step = FrameControlStep{};
-  step->frame = frame;
-  step->now = now;
-  step->type = DecideType(frame, now);
+  const FrameType type = DecideType(frame, now);
   const double pixels = static_cast<double>(frame.resolution.pixels());
-  step->cplx_term = step->type == FrameType::kKey
-                        ? pixels * frame.spatial_complexity
-                        : pixels * frame.temporal_complexity;
-  step->rd = &rd_;
-  if (defer_abr_plan) {
-    step->abr = rc_->AsAbr();
-    step->plan_deferred = step->abr != nullptr;
-  }
-  if (!step->plan_deferred) {
+  const double cplx_term = type == FrameType::kKey
+                               ? pixels * frame.spatial_complexity
+                               : pixels * frame.temporal_complexity;
+  FrameGuidance guidance;
+  {
     const obs::StageTimer::Scope timer(obs::StageTimer::kControl);
-    step->guidance = rc_->PlanFrame(frame, step->type, now);
+    guidance = rc_->PlanFrame(frame, type, now);
   }
-}
-
-void Encoder::ComputeStepScalar(FrameControlStep& step) {
-  const obs::StageTimer::Scope timer(obs::StageTimer::kRd);
-  step.qp = std::clamp(step.guidance.qp, kMinQp, kMaxQp);
-  step.qscale = QpToQscale(step.qp);
-  step.size_bits = rd_.ActualBits(step.type, step.frame, step.qscale).bits();
-  step.ssim = rd_.Ssim(step.frame, step.qscale);
-  step.psnr = rd_.Psnr(step.frame, step.qp);
-  step.math_done = true;
-}
-
-EncodedFrame Encoder::FinishFrame(FrameControlStep& step) {
-  const video::RawFrame& frame = step.frame;
-  const Timestamp now = step.now;
-  const FrameType type = step.type;
 
   EncodedFrame out;
   out.frame_id = frame.frame_id;
@@ -91,7 +59,7 @@ EncodedFrame Encoder::FinishFrame(FrameControlStep& step) {
   out.spatial_complexity = frame.spatial_complexity;
   out.temporal_complexity = frame.temporal_complexity;
 
-  if (step.guidance.skip) {
+  if (guidance.skip) {
     out.skipped = true;
     if (obs::MetricsRegistry* reg = obs::CurrentMetrics()) {
       reg->GetCounter("encoder.frames_skipped")->Add();
@@ -101,58 +69,46 @@ EncodedFrame Encoder::FinishFrame(FrameControlStep& step) {
     outcome.type = type;
     outcome.skipped = true;
     outcome.capture_time = frame.capture_time;
-    outcome.complexity_term = step.cplx_term;
+    outcome.complexity_term = cplx_term;
     const obs::StageTimer::Scope timer(obs::StageTimer::kControl);
     rc_->OnFrameEncoded(outcome, now);
     ++frames_encoded_;
     return out;
   }
 
-  assert(step.math_done);
-  double qp = step.qp;
-  double qscale = step.qscale;
-  DataSize size = DataSize::Bits(step.size_bits);
-
-  // Hard-cap enforcement: re-encode at a higher QP until the frame fits or
-  // the retry budget is spent (x264's VBV loop with row-level re-quant).
-  // Deferred (batched-ABR) lanes never enter: their cap is +infinity.
   int reencodes = 0;
-  if (step.guidance.max_size.IsFinite()) {
+  double qp = std::clamp(guidance.qp, kMinQp, kMaxQp);
+  double qscale = QpToQscale(qp);
+  DataSize size = DataSize::Zero();
+  {
     const obs::StageTimer::Scope timer(obs::StageTimer::kRd);
-    const double cap = static_cast<double>(step.guidance.max_size.bits());
-    while (static_cast<double>(size.bits()) >
-               cap * (1.0 + config_.cap_tolerance) &&
-           reencodes < config_.max_reencodes && qp < kMaxQp) {
-      // Scale qscale by the observed overshoot, inverted through the
-      // type-appropriate exponent, with a safety factor.
-      const double gamma =
-          type == FrameType::kKey ? config_.rd.gamma_i : config_.rd.gamma_p;
-      const double overshoot = static_cast<double>(size.bits()) / cap;
-      qscale *= simd::PowS(overshoot * 1.1, 1.0 / gamma);
-      qscale = std::clamp(qscale, QpToQscale(kMinQp), QpToQscale(kMaxQp));
-      qp = QscaleToQp(qscale);
-      size = rd_.ActualBits(type, frame, qscale);
-      ++reencodes;
+    size = rd_.ActualBits(type, frame, qscale);
+    // Hard-cap enforcement: re-encode at a higher QP until the frame fits
+    // or the retry budget is spent (x264's VBV loop with row-level
+    // re-quant).
+    if (guidance.max_size.IsFinite()) {
+      const double cap = static_cast<double>(guidance.max_size.bits());
+      while (static_cast<double>(size.bits()) >
+                 cap * (1.0 + config_.cap_tolerance) &&
+             reencodes < config_.max_reencodes && qp < kMaxQp) {
+        // Scale qscale by the observed overshoot, inverted through the
+        // type-appropriate exponent, with a safety factor.
+        const double gamma =
+            type == FrameType::kKey ? config_.rd.gamma_i : config_.rd.gamma_p;
+        const double overshoot = static_cast<double>(size.bits()) / cap;
+        qscale *= simd::PowS(overshoot * 1.1, 1.0 / gamma);
+        qscale = std::clamp(qscale, QpToQscale(kMinQp), QpToQscale(kMaxQp));
+        qp = QscaleToQp(qscale);
+        size = rd_.ActualBits(type, frame, qscale);
+        ++reencodes;
+      }
     }
-  }
-
-  out.qp = qp;
-  out.size = size;
-  if (reencodes == 0) {
-    // First pass fit: the staged (or scalar pre-computed) quality values are
-    // exactly Ssim/Psnr of the final qscale/qp.
-    out.ssim = step.ssim;
-    out.psnr = step.psnr;
-  } else {
     out.ssim = rd_.Ssim(frame, qscale);
     out.psnr = rd_.Psnr(frame, qp);
   }
+  out.qp = qp;
+  out.size = size;
   out.reencodes = reencodes;
-  // Re-publish the final values (the retry loop may have moved them); the
-  // staging hub's deferred update reads them from the step.
-  step.qp = qp;
-  step.qscale = qscale;
-  step.size_bits = size.bits();
 
   if (type == FrameType::kKey) {
     frames_since_key_ = 0;
@@ -185,11 +141,10 @@ EncodedFrame Encoder::FinishFrame(FrameControlStep& step) {
   outcome.qp = qp;
   outcome.qscale = qscale;
   outcome.size = size;
-  outcome.complexity_term = step.cplx_term;
+  outcome.complexity_term = cplx_term;
   outcome.capture_time = frame.capture_time;
   outcome.reencodes = reencodes;
-  if (!step.plan_deferred) {
-    // Deferred lanes already ran their batched update in the hub's Flush.
+  {
     const obs::StageTimer::Scope timer(obs::StageTimer::kControl);
     rc_->OnFrameEncoded(outcome, now);
   }

@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "codec/frame_staging.h"
 #include "codec/rate_control.h"
 #include "codec/rd_model.h"
 #include "util/rng.h"
@@ -68,24 +67,8 @@ class Encoder {
   /// `x264_encoder_reconfig` path).
   void SetTargetRate(DataRate target);
 
-  /// Encodes (or skips) one frame at simulation time `now`. Equivalent to
-  /// BeginFrame + ComputeStepScalar + FinishFrame.
+  /// Encodes (or skips) one frame at simulation time `now`.
   EncodedFrame EncodeFrame(const video::RawFrame& frame, Timestamp now);
-
-  /// Staged-execution seam for the frame-boundary rendezvous
-  /// (codec/frame_staging.h). BeginFrame decides the frame type and plans —
-  /// unless `defer_abr_plan` and the rate control is an AbrRateControl, in
-  /// which case the plan (and update) are left to the hub's batched lanes.
-  /// The step's math (qp/qscale/size/ssim/psnr) then comes from either
-  /// ComputeStepScalar or the hub's Flush; FinishFrame applies the re-encode
-  /// retry loop (never taken on deferred lanes: ABR guidance carries no hard
-  /// cap), bookkeeping, and the rate-control update, and emits the frame.
-  /// BeginFrame → ComputeStepScalar → FinishFrame is bit-identical to
-  /// EncodeFrame, including the rng draw order.
-  void BeginFrame(const video::RawFrame& frame, Timestamp now,
-                  bool defer_abr_plan, FrameControlStep* step);
-  void ComputeStepScalar(FrameControlStep& step);
-  EncodedFrame FinishFrame(FrameControlStep& step);
 
   /// Forces the next frame to be a keyframe (e.g. PLI from the receiver).
   void RequestKeyFrame() { keyframe_requested_ = true; }

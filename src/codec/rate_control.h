@@ -42,17 +42,10 @@ struct FrameOutcome {
   int reencodes = 0;
 };
 
-class AbrRateControl;
-
 /// Abstract rate control. Implementations are single-stream and stateful.
 class RateControl {
  public:
   virtual ~RateControl() = default;
-
-  /// Non-null iff this controller is an `AbrRateControl`, whose per-frame
-  /// plan/update math the batched frame-staging hub can execute in SoA lanes
-  /// (`AbrSoa` gather/scatter). Other controllers plan scalar.
-  virtual AbrRateControl* AsAbr() { return nullptr; }
 
   /// New target bitrate from the congestion controller. Implementations may
   /// smooth internally (the baseline does; that sluggishness is the paper's

@@ -9,9 +9,8 @@
 namespace rave::codec {
 
 // All transcendentals below go through rave::simd's scalar kernels rather
-// than libm: the batched SoA stepper evaluates the same model through the
-// vector kernels, and the simd library guarantees those are bit-identical
-// per lane — so per-session and batched execution produce the same frames.
+// than libm: their bits are fixed by our own operation sequence, not by the
+// host's libm version, and they define the simulator's result bytes.
 
 double QpToQscale(double qp) {
   return 0.85 * simd::Exp2S((qp - 12.0) / 6.0);

@@ -73,14 +73,6 @@ class RdModel {
   /// PSNR-like proxy in dB, monotonically decreasing in QP.
   double Psnr(const video::RawFrame& frame, double qp) const;
 
-  /// Draws one sample from this encoder's noise stream, exactly as
-  /// ActualBits does before exponentiating. The frame-staging hub uses it to
-  /// keep per-session rng streams while batching the transcendental tail
-  /// (exp of the draw, the qscale power) across lanes.
-  double DrawNoiseGaussian() {
-    return rng_.Gaussian(0.0, config_.noise_sigma);
-  }
-
   const RdModelConfig& config() const { return config_; }
 
  private:
@@ -117,8 +109,6 @@ class BitPredictor {
   double coef() const { return coef_; }
 
  private:
-  friend class BitPredictorSoa;
-
   double gamma_;
   /// Cached 1/gamma so QscaleForBits doesn't divide on every frame.
   double inv_gamma_;

@@ -41,9 +41,6 @@ class VbvBuffer {
   double fullness() const;
 
  private:
-  /// VbvSoa gathers/scatters live buffers for the batched session stepper.
-  friend class VbvSoa;
-
   DataRate max_rate_;
   TimeDelta buffer_window_;
   DataSize capacity_;

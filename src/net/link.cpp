@@ -63,8 +63,8 @@ void Link::StartNext() {
 
 void Link::OnTransmitComplete() {
   const obs::StageTimer::Scope timer(obs::StageTimer::kLink);
-  // Tracing disables time stepping (staging-rendezvous precedent): counter
-  // emission stays on its per-event cadence, results are identical anyway.
+  // Tracing disables time stepping: counter emission stays on its
+  // per-event cadence, results are identical anyway.
   const bool may_step = obs::CurrentTrace() == nullptr;
   for (;;) {
     assert(in_flight_);

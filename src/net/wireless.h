@@ -5,7 +5,7 @@
 //
 // All generators are deterministic functions of their config (seeds
 // included), so traces can be interned and shared across matrix cells and
-// every bench stays byte-identical at any --jobs/--batch variant.
+// every bench stays byte-identical at any --jobs count.
 #pragma once
 
 #include <cstdint>

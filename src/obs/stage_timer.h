@@ -20,9 +20,9 @@ namespace rave::obs {
 class StageTimer {
  public:
   enum Stage {
-    /// Rate-control plan + update (scalar or the hub's batched phases A/C).
+    /// Rate-control plan + update.
     kControl = 0,
-    /// R-D encode math: size/SSIM/PSNR (scalar or the hub's batched phase B).
+    /// R-D encode math: size (with re-encode retries), SSIM, PSNR.
     kRd,
     /// Congestion control: trendline/GCC feedback processing.
     kTrendline,

@@ -1,7 +1,6 @@
 #include "rtc/session.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <utility>
 
@@ -235,29 +234,7 @@ void Session::OnFrameTick() {
     overuse_decrease_seen_ = false;
   }
 
-  if (staging_hub_ != nullptr && obs::CurrentTrace() == nullptr) {
-    // Frame-boundary rendezvous: stage the control math on the hub and
-    // pause; the runner flushes full lanes through the batched kernels and
-    // calls CompleteStagedFrame(). Tracing falls back to inline execution —
-    // the trace counters emitted inside the batched ABR plan/update would
-    // otherwise be lost.
-    encoder_->BeginFrame(frame, now, abr_plan_deferred_, &staged_step_);
-    if (!staged_step_.plan_deferred && staged_step_.guidance.skip) {
-      // A scalar plan skipped this frame: nothing to batch (skips run no
-      // R-D math), finish inline without a rendezvous.
-      FinishFrameTick(encoder_->FinishFrame(staged_step_));
-      return;
-    }
-    staging_hub_->Stage(&staged_step_);
-    frame_staged_ = true;
-    loop_.RequestPause();
-    return;
-  }
-
-  FinishFrameTick(encoder_->EncodeFrame(frame, now));
-}
-
-void Session::FinishFrameTick(const codec::EncodedFrame& encoded) {
+  const codec::EncodedFrame encoded = encoder_->EncodeFrame(frame, now);
   metrics::FrameRecord record;
   record.frame_id = encoded.frame_id;
   record.capture_time = encoded.capture_time;
@@ -481,21 +458,11 @@ int64_t SessionLogClock(const void* ctx) {
 }  // namespace
 
 SessionResult Session::Run() {
-  Start();
-  AdvanceUntil(end_time_);
-  return Finish();
-}
-
-void Session::Start() {
   // Route the subsystems' metric updates into this session's registry and
   // tag this thread's log lines with the session's sim-time while events
-  // run. Both are thread-local, so parallel runners stay isolated; the
-  // batched runner interleaves sessions on one worker, so each phase call
-  // installs the scopes locally instead of holding them across phases.
+  // run. Both are thread-local, so parallel runners stay isolated.
   obs::MetricsScope metrics_scope(&registry_);
   LogClockScope log_clock(&SessionLogClock, &loop_);
-
-  end_time_ = loop_.now() + config_.duration;
 
   if (cross_traffic_) cross_traffic_->Start();
   // First frame fires immediately; subsequent frames every interval.
@@ -504,54 +471,14 @@ void Session::Start() {
   if (config_.breaker.enabled) {
     watchdog_task_->StartWithDelay(config_.feedback_interval);
   }
-}
-
-void Session::AdvanceUntil(Timestamp until) {
-  obs::MetricsScope metrics_scope(&registry_);
-  LogClockScope log_clock(&SessionLogClock, &loop_);
 
   const AllocScope alloc_scope;
   const auto wall_start = std::chrono::steady_clock::now();
-  loop_.RunUntil(std::min(until, end_time_));
-  wall_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - wall_start)
-                  .count();
-  run_allocs_ += alloc_scope.allocs();
-}
-
-void Session::SetStagingHub(codec::FrameStagingHub* hub) {
-  staging_hub_ = hub;
-  abr_plan_deferred_ = false;
-  if (hub == nullptr) return;
-  if (codec::AbrRateControl* abr = encoder_->rate_control().AsAbr()) {
-    abr_plan_deferred_ = hub->RegisterAbr(abr);
-  }
-}
-
-void Session::CompleteStagedFrame(Timestamp until) {
-  assert(frame_staged_ && staged_step_.math_done);
-  obs::MetricsScope metrics_scope(&registry_);
-  LogClockScope log_clock(&SessionLogClock, &loop_);
-
-  const AllocScope alloc_scope;
-  const auto wall_start = std::chrono::steady_clock::now();
-  frame_staged_ = false;
-  FinishFrameTick(encoder_->FinishFrame(staged_step_));
-  // Resume toward the boundary immediately: same event order as a separate
-  // AdvanceUntil call, without re-touching the session's cache footprint.
-  loop_.RunUntil(std::min(until, end_time_));
-  wall_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - wall_start)
-                  .count();
-  run_allocs_ += alloc_scope.allocs();
-}
-
-SessionResult Session::Finish() {
-  obs::MetricsScope metrics_scope(&registry_);
-  LogClockScope log_clock(&SessionLogClock, &loop_);
-
-  const int64_t wall_ns = wall_ns_;
-  const uint64_t run_allocs = run_allocs_;
+  loop_.RunUntil(loop_.now() + config_.duration);
+  const int64_t wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                              std::chrono::steady_clock::now() - wall_start)
+                              .count();
+  const uint64_t run_allocs = alloc_scope.allocs();
 
   frame_task_->Stop();
   timeseries_task_->Stop();

@@ -17,7 +17,6 @@
 #include "codec/abr_rate_control.h"
 #include "codec/cbr_rate_control.h"
 #include "codec/encoder.h"
-#include "codec/frame_staging.h"
 #include "core/adaptive_rate_control.h"
 #include "core/circuit_breaker.h"
 #include "core/degradation.h"
@@ -135,40 +134,8 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Runs the full session and returns its results. Equivalent to
-  /// Start() + AdvanceUntil(end_time()) + Finish().
+  /// Runs the full session and returns its results.
   SessionResult Run();
-
-  /// Phase API for the lockstep batched runner: Start() arms the pipeline
-  /// tasks, AdvanceUntil() executes events up to a boundary (clamped to the
-  /// session's end), Finish() tears down and collects the results. Because
-  /// the event loop runs events in (fire-time, seq) order and RunUntil is
-  /// inclusive, any monotonic sequence of boundaries ending at end_time()
-  /// executes exactly the event sequence one Run() call executes — batched
-  /// interleaving cannot change results.
-  void Start();
-  void AdvanceUntil(Timestamp until);
-  SessionResult Finish();
-  /// Simulation time at which the session ends (valid after Start()).
-  Timestamp end_time() const { return end_time_; }
-  /// True once the loop has reached end_time().
-  bool done() const { return loop_.now() >= end_time_; }
-
-  /// Frame-boundary rendezvous (codec/frame_staging.h): with a hub
-  /// installed, AdvanceUntil may return early with a frame's control math
-  /// staged on the hub and the loop paused mid-tick. The runner flushes the
-  /// hub, calls CompleteStagedFrame() on every staged session, and
-  /// re-advances them — any such interleaving executes the identical event
-  /// sequence. Call before Start(); pass nullptr to run inline.
-  void SetStagingHub(codec::FrameStagingHub* hub);
-  /// True when AdvanceUntil paused at a staged frame awaiting the hub flush.
-  bool has_staged_frame() const { return frame_staged_; }
-  /// Completes the staged frame from the flushed step's outputs (packetize,
-  /// pace, metrics), then resumes the event loop toward `until` in the same
-  /// scope — equivalent to completing and immediately re-calling
-  /// AdvanceUntil(until), but with one scope install and one contiguous
-  /// cache-warm pass per frame. May pause again at the next frame tick.
-  void CompleteStagedFrame(Timestamp until);
 
   /// Access for tests that step the session manually.
   EventLoop& loop() { return loop_; }
@@ -176,9 +143,6 @@ class Session {
 
  private:
   void OnFrameTick();
-  /// Tail of the frame tick shared by the inline and staged paths: records
-  /// the encoded frame, then packetizes and paces it.
-  void FinishFrameTick(const codec::EncodedFrame& encoded);
   void OnPacerSend(net::Packet&& packet);
   void OnPacketArrival(const net::Packet& packet, Timestamp arrival);
   /// Mutable: the report's packet buffer is recycled into the feedback
@@ -253,19 +217,6 @@ class Session {
   std::unique_ptr<RepeatingTask> timeseries_task_;
   /// Feedback-starvation watchdog on the feedback cadence (circuit breaker).
   std::unique_ptr<RepeatingTask> watchdog_task_;
-
-  // Phase-split state (see Start/AdvanceUntil/Finish).
-  Timestamp end_time_ = Timestamp::PlusInfinity();
-  int64_t wall_ns_ = 0;
-  uint64_t run_allocs_ = 0;
-
-  // Frame-boundary rendezvous state (see SetStagingHub).
-  codec::FrameStagingHub* staging_hub_ = nullptr;
-  /// True when this session's ABR controller joined the hub's batched-plan
-  /// group (BatchCompatible law constants).
-  bool abr_plan_deferred_ = false;
-  codec::FrameControlStep staged_step_;
-  bool frame_staged_ = false;
 
   // Latest values for observations/timeseries.
   bool overuse_decrease_seen_ = false;

@@ -1,13 +1,9 @@
 #include "runner/parallel_runner.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
-#include <memory>
 #include <numeric>
 #include <utility>
 
-#include "codec/frame_staging.h"
 #include "runner/result_cache.h"
 #include "runner/session_key.h"
 
@@ -94,137 +90,9 @@ void ParallelRunner::WorkerLoop() {
   }
 }
 
-namespace {
-
-/// Lockstep advancement quantum. Small enough that the batch's sessions
-/// stay warm in cache together, large enough that the per-quantum loop
-/// bookkeeping is negligible against the thousands of events per quantum.
-constexpr TimeDelta kBatchQuantum = TimeDelta::Millis(250);
-
-/// Runs one submission-order block [begin, end) of sessions in lockstep on
-/// the calling worker: cache hits are filled first, then every miss is
-/// constructed, Start()ed, and advanced over shared time quanta until all
-/// reach their end, then Finish()ed in order. Each session owns its loop
-/// and rngs, so the interleaving is invisible to results.
-void RunBatchLockstep(const std::vector<rtc::SessionConfig>& configs,
-                      size_t begin, size_t end, rtc::SessionResult* results,
-                      ResultCache* cache) {
-  std::vector<size_t> missing;
-  for (size_t i = begin; i < end; ++i) {
-    if (cache != nullptr) {
-      if (auto hit = cache->Lookup(ComputeSessionKey(configs[i]))) {
-        results[i] = std::move(*hit);
-        continue;
-      }
-    }
-    missing.push_back(i);
-  }
-  if (missing.empty()) return;
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  // The hub outlives the sessions (they hold a raw pointer to it).
-  codec::FrameStagingHub hub(missing.size());
-  std::vector<std::unique_ptr<rtc::Session>> sessions;
-  sessions.reserve(missing.size());
-  for (size_t i : missing) {
-    sessions.push_back(std::make_unique<rtc::Session>(configs[i]));
-  }
-  // Staging only pays when there is something to batch with; singleton
-  // blocks run inline exactly like the per-session path.
-  if (sessions.size() >= 2 && ::getenv("RAVE_NO_STAGING") == nullptr) {
-    for (auto& session : sessions) session->SetStagingHub(&hub);
-  }
-  for (auto& session : sessions) session->Start();
-
-  // Frame-boundary rendezvous: advance every live session toward the
-  // quantum boundary; sessions whose frame tick staged control math pause
-  // early, and once the whole wave has either staged or reached the
-  // boundary, the hub flushes all staged lanes through the batched kernels
-  // and the staged sessions complete their frames and resume.
-  std::vector<rtc::Session*> staged;
-  std::vector<rtc::Session*> next;
-  staged.reserve(sessions.size());
-  next.reserve(sessions.size());
-  for (Timestamp boundary = Timestamp::Zero() + kBatchQuantum;; boundary =
-                                                   boundary + kBatchQuantum) {
-    staged.clear();
-    bool any_alive = false;
-    for (auto& session : sessions) {
-      if (session->done()) continue;
-      any_alive = true;
-      session->AdvanceUntil(boundary);  // clamps to the session's end
-      if (session->has_staged_frame()) staged.push_back(session.get());
-    }
-    if (!any_alive) break;
-    // Flush/complete waves: completing a frame resumes the session toward
-    // the boundary in the same call, which may stage its next frame. A
-    // staged session is completed even if done() — its loop still holds the
-    // events at exactly end_time that an uninterrupted RunUntil would have
-    // executed after the frame tick.
-    while (!staged.empty()) {
-      hub.Flush();
-      next.clear();
-      for (rtc::Session* session : staged) {
-        session->CompleteStagedFrame(boundary);
-        if (session->has_staged_frame()) next.push_back(session);
-      }
-      staged.swap(next);
-    }
-  }
-
-  for (size_t k = 0; k < missing.size(); ++k) {
-    results[missing[k]] = sessions[k]->Finish();
-  }
-  if (cache != nullptr) {
-    // Batch wall time split evenly across the misses: per-session timing is
-    // meaningless under interleaving, and compute_us only feeds the cache's
-    // saved-compute accounting.
-    const uint64_t total_us =
-        static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                  std::chrono::steady_clock::now() - wall_start)
-                                  .count());
-    const uint64_t per_session_us = total_us / missing.size();
-    for (size_t i : missing) {
-      cache->Put(ComputeSessionKey(configs[i]), results[i], per_session_us);
-    }
-  }
-}
-
-}  // namespace
-
 std::vector<rtc::SessionResult> ParallelRunner::RunSessions(
-    const std::vector<rtc::SessionConfig>& configs, ResultCache* cache,
-    int batch) {
+    const std::vector<rtc::SessionConfig>& configs, ResultCache* cache) {
   std::vector<rtc::SessionResult> results(configs.size());
-  if (batch > 1) {
-    // Submission-order blocks of up to `batch` sessions; blocks are posted
-    // longest-total-cost-first (same straggler logic as the per-session
-    // path, lifted to blocks). Each block job writes only its own slots.
-    struct Block {
-      size_t begin;
-      size_t end;
-      double cost;
-    };
-    std::vector<Block> blocks;
-    const size_t stride = static_cast<size_t>(batch);
-    for (size_t b = 0; b < configs.size(); b += stride) {
-      Block block{b, std::min(b + stride, configs.size()), 0.0};
-      for (size_t i = block.begin; i < block.end; ++i) {
-        block.cost += EstimatedSessionCost(configs[i]);
-      }
-      blocks.push_back(block);
-    }
-    std::stable_sort(blocks.begin(), blocks.end(),
-                     [](const Block& a, const Block& b) { return a.cost > b.cost; });
-    for (const Block& block : blocks) {
-      Post([&configs, &results, cache, block] {
-        RunBatchLockstep(configs, block.begin, block.end, results.data(),
-                         cache);
-      });
-    }
-    WaitIdle();
-    return results;
-  }
   // Longest-expected-job-first: sessions are self-contained, so posting
   // order affects only wall clock, never results — each job writes to its
   // submission-order slot.
@@ -245,9 +113,9 @@ std::vector<rtc::SessionResult> ParallelRunner::RunSessions(
 
 std::vector<rtc::SessionResult> RunSessions(
     const std::vector<rtc::SessionConfig>& configs, int jobs,
-    ResultCache* cache, int batch) {
+    ResultCache* cache) {
   ParallelRunner runner(jobs);
-  return runner.RunSessions(configs, cache, batch);
+  return runner.RunSessions(configs, cache);
 }
 
 }  // namespace rave::runner

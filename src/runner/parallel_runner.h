@@ -66,16 +66,9 @@ class ParallelRunner {
   /// (bit-identical at any job count; jobs are *posted* longest-first but
   /// each result lands in its submission-order slot). With a cache, each
   /// session is looked up by content key first and only computed on a miss.
-  ///
-  /// `batch > 1` groups consecutive (submission-order) configs into blocks
-  /// of up to `batch` sessions; each block is one job whose worker steps
-  /// all of its sessions in lockstep over shared time quanta (the Session
-  /// Start/AdvanceUntil/Finish phases). Sessions are self-contained, so the
-  /// interleaving cannot change results — every batch size produces the
-  /// bit-identical output of `batch == 1`.
   std::vector<rtc::SessionResult> RunSessions(
       const std::vector<rtc::SessionConfig>& configs,
-      ResultCache* cache = nullptr, int batch = 1);
+      ResultCache* cache = nullptr);
 
  private:
   void WorkerLoop();
@@ -94,6 +87,6 @@ class ParallelRunner {
 /// Convenience: pool-per-call form of ParallelRunner::RunSessions.
 std::vector<rtc::SessionResult> RunSessions(
     const std::vector<rtc::SessionConfig>& configs, int jobs = 0,
-    ResultCache* cache = nullptr, int batch = 1);
+    ResultCache* cache = nullptr);
 
 }  // namespace rave::runner

@@ -173,53 +173,6 @@ rtc::SessionResult ResultCache::GetOrCompute(
   }
 }
 
-std::optional<rtc::SessionResult> ResultCache::Lookup(const SessionKey& key) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = inflight_.find(key);
-    if (it != inflight_.end() &&
-        it->second.wait_for(std::chrono::seconds(0)) ==
-            std::future_status::ready) {
-      const EntryPtr entry = it->second.get();
-      ++stats_.memory_hits;
-      stats_.saved_compute_us += entry->compute_us;
-      return entry->result;
-    }
-    // A still-running GetOrCompute owner counts as a miss: Lookup never
-    // blocks. The subsequent Put for the same key is a no-op.
-  }
-  if (EntryPtr from_disk = LoadBlob(key)) {
-    std::promise<EntryPtr> promise;
-    promise.set_value(from_disk);
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.disk_hits;
-    stats_.saved_compute_us += from_disk->compute_us;
-    // Publish into the memory tier; losing an emplace race keeps the
-    // existing (equal) entry.
-    inflight_.emplace(key, promise.get_future().share());
-    return from_disk->result;
-  }
-  return std::nullopt;
-}
-
-void ResultCache::Put(const SessionKey& key, const rtc::SessionResult& result,
-                      uint64_t compute_us) {
-  auto entry = std::make_shared<Entry>();
-  entry->result = result;
-  entry->compute_us = compute_us;
-  std::promise<EntryPtr> promise;
-  promise.set_value(entry);
-  bool inserted;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.computes;
-    inserted = inflight_.emplace(key, promise.get_future().share()).second;
-  }
-  // Losing the emplace race (another worker computed the same key) keeps
-  // the first entry; results are deterministic per key, so both are equal.
-  if (inserted) StoreBlob(key, *entry);
-}
-
 ResultCache::Stats ResultCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;

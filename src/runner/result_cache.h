@@ -87,20 +87,6 @@ class ResultCache {
       const SessionKey& key,
       const std::function<rtc::SessionResult()>& compute);
 
-  /// Probe-only lookup (memory, then disk); nullopt on miss. For callers
-  /// whose compute spans several keys at once (the batched runner steps a
-  /// whole group of sessions in lockstep), so GetOrCompute's one-closure-
-  /// per-key model does not fit. Does not pin the key, so unlike
-  /// GetOrCompute two concurrent missers may both compute — the batched
-  /// runner schedules each key on exactly one worker, so this cannot arise
-  /// there; other callers get duplicate work at worst, never a wrong result.
-  std::optional<rtc::SessionResult> Lookup(const SessionKey& key);
-
-  /// Publishes a computed result into both tiers. `compute_us` is the wall
-  /// time the computation cost (credited to saved_compute_us on later hits).
-  void Put(const SessionKey& key, const rtc::SessionResult& result,
-           uint64_t compute_us);
-
   Stats stats() const;
 
   const Options& options() const { return options_; }

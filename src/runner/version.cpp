@@ -5,23 +5,19 @@
 
 #include "runner/result_cache.h"
 #include "runner/session_key.h"
-#include "simd/dispatch.h"
 #include "util/alloc_probe.h"
 
 namespace rave::runner {
 
 std::string BuildOptionsString() {
   std::ostringstream os;
-  os << "simd=" << (simd::Avx2CompiledIn() ? "avx2" : "scalar")
-     << " dispatch=" << simd::ToString(simd::ActiveLevel());
 #ifdef RAVE_TRACING_DISABLED
-  os << " tracing=off";
+  os << "tracing=off";
 #else
-  os << " tracing=on";
+  os << "tracing=on";
 #endif
   os << " alloc_probe=" << (AllocProbeEnabled() ? "on" : "off");
   os << " coalesce=" << (std::getenv("RAVE_NO_COALESCE") ? "off" : "on");
-  os << " staging=" << (std::getenv("RAVE_NO_STAGING") ? "off" : "on");
   return os.str();
 }
 

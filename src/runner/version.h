@@ -12,11 +12,9 @@
 
 namespace rave::runner {
 
-/// One-line option set: compiled SIMD backend + active dispatch level,
-/// tracing, the allocation probe, and the runtime coalescing/staging knobs
-/// (RAVE_NO_COALESCE / RAVE_NO_STAGING). Example:
-///   "simd=avx2 dispatch=avx2 tracing=on alloc_probe=on coalesce=on
-///    staging=on"
+/// One-line option set: tracing, the allocation probe, and the runtime
+/// coalescing knob (RAVE_NO_COALESCE). Example:
+///   "tracing=on alloc_probe=on coalesce=on"
 std::string BuildOptionsString();
 
 /// Multi-line human-readable version report (fingerprint, blob version,

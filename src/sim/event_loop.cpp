@@ -339,15 +339,7 @@ bool EventLoop::PopAndRunNext(Timestamp until) {
 void EventLoop::RunUntil(Timestamp until) {
   const Timestamp prev_bound = run_bound_;
   run_bound_ = until;
-  while (PopAndRunNext(until)) {
-    if (pause_requested_) {
-      // Return without the trailing now_ advance: time must stay at the
-      // paused event so the resuming RunUntil continues the exact sequence.
-      pause_requested_ = false;
-      run_bound_ = prev_bound;
-      return;
-    }
-  }
+  while (PopAndRunNext(until)) {}
   run_bound_ = prev_bound;
   if (until > now_ && until.IsFinite()) now_ = until;
 }

@@ -103,17 +103,6 @@ class EventLoop {
   /// (inclusive: events at exactly `until` run).
   void RunUntil(Timestamp until);
 
-  /// Requests that the enclosing RunUntil return right after the currently
-  /// executing callback, leaving now() at that callback's fire time and
-  /// every later event pending. Because events execute in strict
-  /// (fire-time, seq) order and nothing is popped early, a later RunUntil
-  /// resumes the identical event sequence an uninterrupted run would have
-  /// executed — pausing is invisible to results. The flag is consumed at
-  /// the next event boundary; callers invoke this from inside a callback
-  /// (the frame-boundary rendezvous: a frame tick stages its control math,
-  /// pauses, and the batched runner completes the frame before resuming).
-  void RequestPause() { pause_requested_ = true; }
-
   /// Runs for `duration` from the current time.
   void RunFor(TimeDelta duration) { RunUntil(now_ + duration); }
 
@@ -248,7 +237,6 @@ class EventLoop {
   void AdvanceL1(Timestamp horizon);
 
   Timestamp now_ = Timestamp::Zero();
-  bool pause_requested_ = false;
   /// Default read from the environment once at construction (see
   /// set_coalescing); constructor lives in the .cpp to keep <cstdlib> out of
   /// this header.

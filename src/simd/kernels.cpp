@@ -1,26 +1,11 @@
 #include "simd/kernels.h"
 
-#include "simd/backend.h"
-#include "simd/dispatch.h"
 #include "simd/kernels_detail.h"
 
 namespace rave::simd {
 
 double FitSlope(const double* x, const double* y, size_t n) {
-  return detail::FitSlopeStrided(x, y, n, 1);
-}
-
-void FitSlopeLanes(const double* xs, const double* ys, size_t window,
-                   size_t stride, size_t lanes, double* out) {
-#if RAVE_SIMD_AVX2
-  if (ActiveLevel() == Level::kAvx2) {
-    internal::FitSlopeLanesAvx2(xs, ys, window, stride, lanes, out);
-    return;
-  }
-#endif
-  for (size_t lane = 0; lane < lanes; ++lane) {
-    out[lane] = detail::FitSlopeStrided(xs + lane, ys + lane, window, stride);
-  }
+  return detail::FitSlopeRef(x, y, n);
 }
 
 }  // namespace rave::simd

@@ -1,7 +1,6 @@
-// Batched domain kernels for the SoA session stepper. Same bit-identity
-// contract as vmath.h: every kernel is element-wise per lane and every
-// backend runs the identical operation sequence, so results match the
-// scalar reference bit-for-bit at any SIMD level.
+// Domain kernels with the same bit contract as vmath.h: scalar reference
+// code compiled with -ffp-contract=off, so results never depend on the
+// calling TU's flags.
 #pragma once
 
 #include <cstddef>
@@ -13,11 +12,5 @@ namespace rave::simd {
 /// degenerate — the exact operation sequence of
 /// TrendlineEstimator::LinearFitSlope, which delegates here.
 double FitSlope(const double* x, const double* y, size_t n);
-
-/// FitSlope across `lanes` independent series stored index-major: element
-/// (i, lane) lives at [i * stride + lane]. out[lane] is bit-identical to
-/// FitSlope over lane's series.
-void FitSlopeLanes(const double* xs, const double* ys, size_t window,
-                   size_t stride, size_t lanes, double* out);
 
 }  // namespace rave::simd

@@ -1,60 +1,8 @@
 #include "simd/vmath.h"
 
-#include "simd/backend.h"
-#include "simd/dispatch.h"
 #include "simd/vmath_detail.h"
 
 namespace rave::simd {
-
-void Exp2(const double* x, double* out, size_t n) {
-#if RAVE_SIMD_AVX2
-  if (ActiveLevel() == Level::kAvx2) {
-    internal::Exp2Avx2(x, out, n);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) out[i] = detail::Exp2Ref(x[i]);
-}
-
-void Log2(const double* x, double* out, size_t n) {
-#if RAVE_SIMD_AVX2
-  if (ActiveLevel() == Level::kAvx2) {
-    internal::Log2Avx2(x, out, n);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) out[i] = detail::Log2Ref(x[i]);
-}
-
-void Exp(const double* x, double* out, size_t n) {
-#if RAVE_SIMD_AVX2
-  if (ActiveLevel() == Level::kAvx2) {
-    internal::ExpAvx2(x, out, n);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) out[i] = detail::ExpRef(x[i]);
-}
-
-void Pow(const double* x, const double* y, double* out, size_t n) {
-#if RAVE_SIMD_AVX2
-  if (ActiveLevel() == Level::kAvx2) {
-    internal::PowAvx2(x, y, out, n);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) out[i] = detail::PowRef(x[i], y[i]);
-}
-
-void PowScalarExp(const double* x, double y, double* out, size_t n) {
-#if RAVE_SIMD_AVX2
-  if (ActiveLevel() == Level::kAvx2) {
-    internal::PowScalarExpAvx2(x, y, out, n);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) out[i] = detail::PowRef(x[i], y);
-}
 
 double Exp2S(double x) { return detail::Exp2Ref(x); }
 double Log2S(double x) { return detail::Log2Ref(x); }

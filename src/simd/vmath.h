@@ -1,40 +1,24 @@
-// Batched transcendental kernels with a strict bit-identity contract.
+// Scalar transcendental kernels that define the simulator's result bytes.
 //
-// Every kernel is element-wise — out[i] depends only on the inputs at lane
-// i — and every backend executes the same IEEE-754 operation sequence per
-// lane, so scalar and AVX2 results are bit-identical (simd_vmath_test
-// verifies this exhaustively, denormals and specials included). That
-// contract is what lets the batched session stepper mix vector kernels with
-// per-lane scalar fallbacks (divergent branches, tail lanes, batch=1)
-// without perturbing a single session trajectory.
+// The simulator evaluates its R-D model and rate-control laws through these
+// rather than libm: their bits are fixed by our own IEEE-754 operation
+// sequence (plain mul/add, compiled with -ffp-contract=off), not by the
+// host's libm version, so every platform produces the same frames.
+// simd_vmath_test pins the output bits over a fixed input grid.
 //
 // Accuracy: within a few ulp of correctly rounded across the simulator's
 // domain. These are NOT libm — results may differ from std::pow/exp/log2 in
-// the last ulps, identically on every platform and at every SIMD level.
-// Pow(x, y) returns NaN for x < 0 (the simulator has no negative bases).
+// the last ulps, identically on every platform. PowS(x, y) returns NaN for
+// x < 0 (the simulator has no negative bases).
 //
 // The kernels assume the default FP environment (round-to-nearest-even,
 // no denormal flushing); nothing in the simulator changes it.
 #pragma once
 
-#include <cstddef>
-
 namespace rave::simd {
 
-/// out[i] = 2^x[i]
-void Exp2(const double* x, double* out, size_t n);
-/// out[i] = log2(x[i])
-void Log2(const double* x, double* out, size_t n);
-/// out[i] = e^x[i]
-void Exp(const double* x, double* out, size_t n);
-/// out[i] = x[i]^y[i] (NaN for negative bases)
-void Pow(const double* x, const double* y, double* out, size_t n);
-/// out[i] = x[i]^y — bitwise the same lanes as Pow with y broadcast.
-void PowScalarExp(const double* x, double y, double* out, size_t n);
-
-/// Single-value forms. Always the scalar reference kernel, out-of-line, so
-/// every call site in every TU (whatever its optimization or contraction
-/// flags) computes identical bits — and identical to the batched kernels.
+/// Out-of-line, so every call site in every TU (whatever its optimization
+/// or contraction flags) computes identical bits.
 double Exp2S(double x);
 double Log2S(double x);
 double ExpS(double x);

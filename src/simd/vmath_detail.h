@@ -1,9 +1,6 @@
-// Scalar reference kernels for rave::simd — the definition of correctness
-// for every vector backend: an AVX2 kernel must execute the exact same
-// IEEE-754 operation sequence per lane so results are bit-identical at
-// every SIMD level. Plain mul/add throughout (no std::fma): the fallback
-// must stay fast and identical on CPUs without FMA, so the vector backends
-// use separate mul/add too.
+// Scalar kernels for rave::simd. Their exact IEEE-754 operation sequence
+// defines the simulator's result bits. Plain mul/add throughout (no
+// std::fma): results must stay fast and identical on CPUs without FMA.
 //
 // Private to src/simd TUs, which are all compiled with -ffp-contract=off;
 // do not include elsewhere (a contracting TU would compute different bits).
@@ -32,7 +29,7 @@ inline constexpr double kExp2C[13] = {
 // 1.5 * 2^52. Adding then subtracting it rounds |x| <= 2^51 to the nearest
 // integer (ties to even), and the low bits of the intermediate sum hold
 // that integer in two's complement: bits(kRoundBias + k) = kRoundBiasBits
-// + k. Both the scalar and vector backends extract k that way.
+// + k, which is how k is extracted.
 inline constexpr double kRoundBias = 0x1.8p52;
 inline constexpr int64_t kRoundBiasBits = 0x4338000000000000;
 
@@ -42,9 +39,9 @@ inline double Exp2Poly(double r) {
   return p;
 }
 
-/// Full-range 2^x. The [[likely]] path (k in [-1021, 1023], result normal)
-/// is the one the vector backend replicates; everything else — overflow,
-/// subnormal results, NaN — is a "slow lane" both backends route here.
+/// Full-range 2^x. The [[likely]] path covers k in [-1021, 1023] (normal
+/// results); overflow, subnormal results and NaN take the branches around
+/// it.
 inline double Exp2Ref(double x) {
   if (!(x < 1024.0)) {  // +inf, NaN, or guaranteed overflow
     return std::isnan(x) ? x : std::numeric_limits<double>::infinity();
@@ -76,11 +73,6 @@ inline constexpr double kLog2C[11] = {
 inline constexpr double kSqrt2 = 0x1.6a09e667f3bcdp+0;
 inline constexpr uint64_t kMantissaMask = 0x000FFFFFFFFFFFFFull;
 inline constexpr uint64_t kOneBits = 0x3FF0000000000000ull;
-// Bits of 2^52: OR-ing a small non-negative integer into them yields the
-// double 2^52 + n, so (that value) - (2^52 + 1023) = n - 1023 exactly.
-// The vector backend converts exponent fields to doubles this way.
-inline constexpr int64_t kExpMagicBits = 0x4330000000000000;
-inline constexpr double kExpMagicSub = 0x1p52 + 1023.0;
 
 /// log2 of a normal positive x whose raw bits are `bits`, with `e` holding
 /// its unbiased exponent as a double. Shared by the fast path and the

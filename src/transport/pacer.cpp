@@ -83,8 +83,8 @@ void Pacer::MaybeSend() {
 void Pacer::OnTimer() {
   timer_armed_ = false;
   // With an active trace the per-wake queue-depth counter must keep its
-  // per-packet cadence, so time stepping is disabled (like the staging
-  // rendezvous's inline fallback) — results are unchanged either way.
+  // per-packet cadence, so time stepping is disabled — results are
+  // unchanged either way.
   const bool may_step = obs::CurrentTrace() == nullptr;
   for (;;) {
     const Timestamp now = loop_.now();

@@ -29,8 +29,8 @@ class Flags {
   /// overflow int64 are rejected with the flag named in the error.
   int64_t GetInt(const std::string& key, int64_t fallback) const;
   /// GetInt plus a closed range check — the spelling for flags where only
-  /// some values make sense (`--jobs` can't be negative, `--batch` can't
-  /// be zero). The error names the flag and the accepted range.
+  /// some values make sense (`--jobs` can't be negative, `--runner-sessions`
+  /// can't be zero). The error names the flag and the accepted range.
   int64_t GetInt(const std::string& key, int64_t fallback, int64_t min,
                  int64_t max) const;
   double GetDouble(const std::string& key, double fallback) const;

@@ -1,10 +1,9 @@
-# Opt-in performance gate over tab4_microbench's lockstep batch sweep.
+# Opt-in performance gate over tab4_microbench's serial throughput.
 #
-# Runs the throughput/batch section (smoke mode: google-benchmark skipped,
-# full 64-session x 30 s matrix kept) and fails if:
-#   - the batched-vs-serial identity flags are not true (a determinism
-#     regression the numeric floor could otherwise mask), or
-#   - session_batch_speedup falls below FLOOR, or
+# Runs the throughput section (smoke mode: google-benchmark skipped, full
+# 64-session x 30 s matrix kept) and fails if:
+#   - tab4 exits non-zero (it does when the parallel results are not
+#     bit-identical to the serial ones), or
 #   - serial_sessions_per_s falls below SERIAL_FLOOR (absolute sessions/sec,
 #     a catastrophic tripwire only — the host swings ~1.5x run to run), or
 #   - train_amortization falls below AMORT_FLOOR. This one is noise-free:
@@ -13,22 +12,16 @@
 #     reads exactly 1.0 the moment the event-coalescing fast path stops
 #     granting time steps — no wall clock involved.
 #
-# The floor is a catastrophic-regression tripwire, not a precision bound:
-# single-run wall-clock ratios on shared/virtualized CI hosts swing from
-# ~0.69 to ~1.20 for identical binaries (see DESIGN.md "Frame-boundary
-# rendezvous" for the measured numbers). The gate therefore takes the BEST
-# speedup over up to ATTEMPTS runs — host noise only depresses a measured
-# ratio at random, so the max across runs tracks the true ratio — and the
-# identity flags must hold on EVERY run. Raise the floor only from repeated
-# cold-run minima on a quiet host.
+# Single-run wall clock on shared/virtualized hosts is noisy, so the gate
+# takes the BEST serial sessions/s over up to ATTEMPTS runs — host noise
+# only depresses a measured rate at random, so the max across runs tracks
+# the true rate. Raise the floor only from repeated cold-run minima on a
+# quiet host.
 #
-# Usage: cmake -DBINARY=<tab4_microbench> -DOUT=<dir> -DFLOOR=<x>
-#              [-DSERIAL_FLOOR=<sessions/s>] -P this
+# Usage: cmake -DBINARY=<tab4_microbench> -DOUT=<dir>
+#              [-DSERIAL_FLOOR=<sessions/s>] [-DAMORT_FLOOR=<ratio>] -P this
 if(NOT DEFINED BINARY OR NOT DEFINED OUT)
   message(FATAL_ERROR "BINARY and OUT must be defined")
-endif()
-if(NOT DEFINED FLOOR)
-  set(FLOOR 0.70)
 endif()
 if(NOT DEFINED SERIAL_FLOOR)
   set(SERIAL_FLOOR 0)
@@ -41,9 +34,7 @@ if(NOT DEFINED ATTEMPTS)
 endif()
 
 file(MAKE_DIRECTORY ${OUT})
-set(best_speedup 0)
 set(best_serial 0)
-set(control_speedup 0)
 foreach(attempt RANGE 1 ${ATTEMPTS})
   execute_process(
     COMMAND ${BINARY} --smoke --runner-sessions=64 --runner-duration=30
@@ -57,15 +48,11 @@ foreach(attempt RANGE 1 ${ATTEMPTS})
   endif()
 
   file(READ ${OUT}/perf.json json)
-  string(JSON session_speedup GET ${json} session_batch_speedup)
-  string(JSON session_identical GET ${json} session_batch_identical)
-  string(JSON control_speedup GET ${json} control_batch_speedup)
-  string(JSON control_identical GET ${json} control_batch_identical)
   string(JSON serial_sps GET ${json} serial_sessions_per_s)
   string(JSON amortization GET ${json} train_amortization)
 
-  # The amortization ratio is deterministic, so like the identity flags a
-  # single miss is a real regression, not noise.
+  # The amortization ratio is deterministic, so a single miss is a real
+  # regression, not noise.
   if(amortization LESS AMORT_FLOOR)
     message(FATAL_ERROR
             "train_amortization=${amortization} fell below ${AMORT_FLOOR}: "
@@ -73,39 +60,17 @@ foreach(attempt RANGE 1 ${ATTEMPTS})
             "(it reads exactly 1.0 when coalescing is lost)")
   endif()
 
-  # Bit-identity is noise-free: any single failure is a real regression.
-  if(NOT session_identical STREQUAL "ON")
-    message(FATAL_ERROR
-            "batched session results are NOT bit-identical to serial "
-            "(session_batch_identical=${session_identical})")
-  endif()
-  if(NOT control_identical STREQUAL "ON")
-    message(FATAL_ERROR
-            "batched control-loop trajectories are NOT bit-identical to "
-            "scalar (control_batch_identical=${control_identical})")
-  endif()
-  if(best_speedup LESS session_speedup)
-    set(best_speedup ${session_speedup})
-  endif()
   if(best_serial LESS serial_sps)
     set(best_serial ${serial_sps})
   endif()
-  if(NOT best_speedup LESS FLOOR AND NOT best_serial LESS SERIAL_FLOOR)
-    break()  # above both floors — no need to burn more attempts
+  if(NOT best_serial LESS SERIAL_FLOOR)
+    break()  # above the floor — no need to burn more attempts
   endif()
   message(STATUS
-          "attempt ${attempt}/${ATTEMPTS}: session_batch_speedup="
-          "${session_speedup} (floor ${FLOOR}), serial_sessions_per_s="
+          "attempt ${attempt}/${ATTEMPTS}: serial_sessions_per_s="
           "${serial_sps} (floor ${SERIAL_FLOOR}), retrying")
 endforeach()
 
-if(best_speedup LESS FLOOR)
-  message(FATAL_ERROR
-          "best session_batch_speedup over ${ATTEMPTS} runs = ${best_speedup}"
-          " fell below the committed floor ${FLOOR} (control_batch_speedup="
-          "${control_speedup}); the rendezvous or the batched kernels "
-          "regressed catastrophically")
-endif()
 if(best_serial LESS SERIAL_FLOOR)
   message(FATAL_ERROR
           "best serial_sessions_per_s over ${ATTEMPTS} runs = ${best_serial} "
@@ -114,8 +79,6 @@ if(best_serial LESS SERIAL_FLOOR)
           "catastrophically")
 endif()
 message(STATUS
-        "perf gate passed: session_batch_speedup=${best_speedup} "
-        "(floor ${FLOOR}), serial_sessions_per_s=${best_serial} "
+        "perf gate passed: serial_sessions_per_s=${best_serial} "
         "(floor ${SERIAL_FLOOR}, best of <=${ATTEMPTS}), "
-        "control_batch_speedup=${control_speedup}, identity flags true on "
-        "every run")
+        "train_amortization=${amortization} (floor ${AMORT_FLOOR})")

@@ -1,10 +1,10 @@
 # Runs a bench binary once per argument variant and fails unless every run's
 # output is byte-identical to the first. Generalizes bench_determinism.cmake
-# to execution knobs that must never change results (--batch, --simd, --jobs
-# in any combination). Invoked by ctest (see bench/CMakeLists.txt):
+# to execution knobs that must never change results (--jobs, cache
+# temperature, RAVE_NO_COALESCE, in any combination). Invoked by ctest (see bench/CMakeLists.txt):
 #
 #   cmake -DBINARY=<path> -DOUT=<output-prefix>
-#         "-DVARIANTS=--batch=1|--batch=16 --simd=scalar|..."
+#         "-DVARIANTS=--jobs=1|RAVE_NO_COALESCE=1 --jobs=8|..."
 #         [-DEXTRA_ARGS=...] [-DCACHE_DIR=<dir>]
 #         -P bench_variants_determinism.cmake
 #

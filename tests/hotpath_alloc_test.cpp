@@ -11,11 +11,9 @@
 
 #include <cstdint>
 #include <iostream>
-#include <vector>
 
 #include "obs/trace.h"
 #include "rtc/session.h"
-#include "runner/parallel_runner.h"
 #include "sim/event_loop.h"
 #include "util/alloc_probe.h"
 #include "util/time.h"
@@ -104,45 +102,6 @@ TEST(HotpathAllocTest, SessionSteadyStateStaysUnderAllocBudget) {
       << "steady-state session allocations regressed: " << steady_per_second
       << "/sim-second (short run " << short_run << ", long run " << long_run
       << ")";
-}
-
-// The batched lockstep path must hold the same steady-state budget: the
-// frame-boundary rendezvous stages every frame through the hub, whose lane
-// scratch (and the sessions' staged steps) is Reserve()d at construction —
-// flushing a wave through the SoA kernels must not allocate per frame.
-// Measured long-minus-short over the whole block so hub/session setup
-// cancels; the budget is per session-sim-second, same bound as inline.
-TEST(HotpathAllocTest, BatchedSessionsStayUnderAllocBudget) {
-  if (!AllocProbeEnabled()) {
-    GTEST_SKIP() << "built without RAVE_ALLOC_PROBE";
-  }
-  ASSERT_EQ(obs::CurrentTrace(), nullptr);
-  auto batch_allocs = [](TimeDelta duration) {
-    // Four sessions in one lockstep block: two ABR lanes (batched plan and
-    // update through AbrSoa) and two adaptive lanes (scalar plan, batched
-    // R-D math).
-    std::vector<rtc::SessionConfig> configs(4);
-    configs[0].scheme = rtc::Scheme::kX264Abr;
-    configs[1].scheme = rtc::Scheme::kAdaptive;
-    configs[2].scheme = rtc::Scheme::kX264Abr;
-    configs[3].scheme = rtc::Scheme::kAdaptive;
-    for (auto& config : configs) config.duration = duration;
-    AllocScope scope;
-    runner::RunSessions(configs, /*jobs=*/1, /*cache=*/nullptr, /*batch=*/4);
-    return scope.allocs();
-  };
-  const uint64_t short_run = batch_allocs(TimeDelta::Seconds(5));
-  const uint64_t long_run = batch_allocs(TimeDelta::Seconds(10));
-  ASSERT_GE(long_run, short_run);
-  // 4 sessions x 5 extra simulated seconds.
-  const uint64_t steady_per_second = (long_run - short_run) / 20;
-  std::cout << "steady-state batched allocations: " << steady_per_second
-            << "/session-sim-second (budget " << kMaxAllocsPerSimSecond
-            << ")\n";
-  EXPECT_LE(steady_per_second, kMaxAllocsPerSimSecond)
-      << "steady-state batched-session allocations regressed: "
-      << steady_per_second << "/session-sim-second (short run " << short_run
-      << ", long run " << long_run << ")";
 }
 
 }  // namespace

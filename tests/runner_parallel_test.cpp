@@ -7,13 +7,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common.h"
-#include "fault/fault_plan.h"
 #include "runner/result_cache.h"
-#include "simd/dispatch.h"
 
 namespace rave {
 namespace {
@@ -228,133 +225,23 @@ TEST(ParallelRunnerTest, CacheBackedRunMatchesUncached) {
   const auto warm = runner::RunSessions(configs, /*jobs=*/2, &cache);
   EXPECT_EQ(cache.stats().computes, configs.size());  // nothing recomputed
   EXPECT_EQ(cache.stats().memory_hits, configs.size());
+  // A serial pass serves from the cache a parallel pass filled.
+  const auto warm_serial = runner::RunSessions(configs, /*jobs=*/1, &cache);
+  EXPECT_EQ(cache.stats().computes, configs.size());
 
   ASSERT_EQ(cold.size(), configs.size());
   ASSERT_EQ(warm.size(), configs.size());
+  ASSERT_EQ(warm_serial.size(), configs.size());
   for (size_t i = 0; i < configs.size(); ++i) {
     SCOPED_TRACE("config " + std::to_string(i));
     EXPECT_EQ(uncached[i].events_executed, cold[i].events_executed);
     EXPECT_EQ(uncached[i].events_executed, warm[i].events_executed);
     ExpectSameSummary(uncached[i].summary, cold[i].summary);
     ExpectSameSummary(uncached[i].summary, warm[i].summary);
+    ExpectSameSummary(uncached[i].summary, warm_serial[i].summary);
     ExpectSameFrames(uncached[i].frames, warm[i].frames);
+    ExpectSameFrames(uncached[i].frames, warm_serial[i].frames);
     ExpectSameLinkStats(uncached[i].link_stats, warm[i].link_stats);
-  }
-}
-
-// --- lockstep batched runs ---
-
-// Batched lockstep execution (Session Start/AdvanceUntil/Finish over shared
-// time quanta) must be invisible: any batch size, at any job count, must
-// reproduce the per-session path bit for bit.
-TEST(ParallelRunnerTest, BatchedMatchesPerSession) {
-  const TimeDelta duration = TimeDelta::Seconds(6);
-  std::vector<rtc::SessionConfig> configs;
-  for (const auto& [name, trace] : bench::TraceSuite(duration)) {
-    configs.push_back(bench::DefaultConfig(
-        rtc::Scheme::kAdaptive, trace, video::ContentClass::kTalkingHead,
-        duration, 7));
-  }
-
-  const auto serial = runner::RunSessions(configs, /*jobs=*/1);
-  for (const auto [jobs, batch] : {std::pair{1, 4}, {2, 4}, {1, 16}}) {
-    SCOPED_TRACE("jobs " + std::to_string(jobs) + " batch " +
-                 std::to_string(batch));
-    const auto batched =
-        runner::RunSessions(configs, jobs, /*cache=*/nullptr, batch);
-    ASSERT_EQ(batched.size(), serial.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-      SCOPED_TRACE("config " + std::to_string(i));
-      EXPECT_EQ(serial[i].events_executed, batched[i].events_executed);
-      ExpectSameSummary(serial[i].summary, batched[i].summary);
-      ExpectSameFrames(serial[i].frames, batched[i].frames);
-      ExpectSameLinkStats(serial[i].link_stats, batched[i].link_stats);
-      ASSERT_EQ(serial[i].timeseries.size(), batched[i].timeseries.size());
-    }
-  }
-}
-
-// Staged-vs-inline identity matrix for the frame-boundary rendezvous
-// (codec/frame_staging.h). Batch=1 blocks (and singleton tail blocks) run
-// inline with no hub; batch>=2 blocks stage every frame's control math and
-// flush it through the SoA/simd lanes. Any batch size, under either simd
-// backend, must reproduce the per-session path bit for bit. The matrix
-// stresses the divergence fallbacks on purpose:
-//  - kX264Abr lanes defer their plan/update into the batched AbrSoa;
-//  - kAdaptive/kSalsify lanes plan scalar but batch the R-D math;
-//  - a handover fault on ONE lane renegotiates its link mid-run, forcing
-//    that lane's trajectory (and its staging cadence) to diverge from its
-//    neighbours mid-batch;
-//  - mixed durations retire lanes at different boundaries, shrinking the
-//    staged wave while the hub keeps flushing the survivors.
-TEST(ParallelRunnerTest, StagedMatchesInlineAcrossBatchAndSimdMatrix) {
-  std::vector<rtc::SessionConfig> configs;
-  const rtc::Scheme schemes[] = {rtc::Scheme::kX264Abr, rtc::Scheme::kAdaptive,
-                                 rtc::Scheme::kSalsify};
-  for (int i = 0; i < 9; ++i) {
-    configs.push_back(bench::DefaultConfig(
-        schemes[static_cast<size_t>(i) % std::size(schemes)],
-        bench::DropTrace(0.3 + 0.2 * (static_cast<double>(i % 3))),
-        video::ContentClass::kTalkingHead,
-        TimeDelta::Seconds(i % 2 == 0 ? 8 : 5),
-        /*seed=*/static_cast<uint64_t>(i) + 1));
-  }
-  // Mid-batch divergence: one lane (an ABR lane, so its staged AbrSoa state
-  // rides through the event) hops to a 900 kbps / 60 ms cell at 3 s.
-  configs[3].faults = fault::ParseFaultSpec("handover@3+0.2:900:60");
-
-  const simd::Level original = simd::ActiveLevel();
-  const auto serial = runner::RunSessions(configs, /*jobs=*/1);
-  for (const simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2}) {
-    simd::SetLevel(level);  // SetLevel clamps to what the host supports
-    for (const int batch : {1, 2, 3, 8, 16, 64}) {
-      SCOPED_TRACE(std::string("simd ") + simd::ToString(simd::ActiveLevel()) +
-                   " batch " + std::to_string(batch));
-      const auto batched =
-          runner::RunSessions(configs, /*jobs=*/1, /*cache=*/nullptr, batch);
-      ASSERT_EQ(batched.size(), serial.size());
-      for (size_t i = 0; i < serial.size(); ++i) {
-        SCOPED_TRACE("config " + std::to_string(i));
-        EXPECT_EQ(serial[i].events_executed, batched[i].events_executed);
-        ExpectSameSummary(serial[i].summary, batched[i].summary);
-        ExpectSameFrames(serial[i].frames, batched[i].frames);
-        ExpectSameLinkStats(serial[i].link_stats, batched[i].link_stats);
-      }
-    }
-  }
-  simd::SetLevel(original);
-}
-
-// Batched runs share the cache with per-session runs: a batched cold pass
-// fills it, and both batched and per-session warm passes serve from it.
-TEST(ParallelRunnerTest, BatchedRunsShareTheCache) {
-  std::vector<rtc::SessionConfig> configs;
-  for (rtc::Scheme scheme : rtc::kHeadlineSchemes) {
-    for (uint64_t seed : {1, 2, 3}) {
-      configs.push_back(bench::DefaultConfig(
-          scheme, bench::DropTrace(0.5), video::ContentClass::kTalkingHead,
-          TimeDelta::Seconds(4), seed));
-    }
-  }
-
-  runner::ResultCache cache;
-  const auto cold =
-      runner::RunSessions(configs, /*jobs=*/2, &cache, /*batch=*/4);
-  EXPECT_EQ(cache.stats().computes, configs.size());
-  const auto warm_batched =
-      runner::RunSessions(configs, /*jobs=*/2, &cache, /*batch=*/4);
-  EXPECT_EQ(cache.stats().computes, configs.size());  // nothing recomputed
-  EXPECT_EQ(cache.stats().memory_hits, configs.size());
-  const auto warm_serial = runner::RunSessions(configs, /*jobs=*/1, &cache);
-  EXPECT_EQ(cache.stats().computes, configs.size());
-
-  for (size_t i = 0; i < configs.size(); ++i) {
-    SCOPED_TRACE("config " + std::to_string(i));
-    EXPECT_EQ(cold[i].events_executed, warm_batched[i].events_executed);
-    EXPECT_EQ(cold[i].events_executed, warm_serial[i].events_executed);
-    ExpectSameSummary(cold[i].summary, warm_batched[i].summary);
-    ExpectSameSummary(cold[i].summary, warm_serial[i].summary);
-    ExpectSameFrames(cold[i].frames, warm_batched[i].frames);
   }
 }
 

@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "common.h"
 #include "fault/fault_plan.h"
+#include "runner/version.h"
 
 namespace rave {
 namespace {
@@ -208,6 +211,24 @@ TEST(SessionKeyTest, StdHashFoldsBothHalves) {
   const std::hash<runner::SessionKey> h;
   EXPECT_NE(h({1, 0}), h({2, 0}));
   EXPECT_NE(h({0, 1}), h({0, 2}));
+}
+
+// The option string is the history ledger's compatibility key next to the
+// fingerprint: a field added or dropped here makes every earlier ledger
+// record incompatible, so the exact field set is pinned.
+TEST(VersionTest, BuildOptionsStringPrintsExactFieldSet) {
+  std::istringstream fields(runner::BuildOptionsString());
+  std::vector<std::string> keys;
+  std::string field;
+  while (fields >> field) {
+    const size_t eq = field.find('=');
+    ASSERT_NE(eq, std::string::npos) << field;
+    const std::string value = field.substr(eq + 1);
+    EXPECT_TRUE(value == "on" || value == "off") << field;
+    keys.push_back(field.substr(0, eq));
+  }
+  EXPECT_EQ(keys, (std::vector<std::string>{"tracing", "alloc_probe",
+                                            "coalesce"}));
 }
 
 }  // namespace

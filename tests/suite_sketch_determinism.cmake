@@ -1,7 +1,7 @@
 # Sketch determinism gate: the "sketches" section of BENCH_suite.json —
 # bit-exact count/sum/min/max, the percentile ladder, AND the encoded
-# sketch blob as hex — must be byte-identical across cache temperature,
-# job counts, and batch sizes. All variants share one cache directory:
+# sketch blob as hex — must be byte-identical across cache temperature
+# and job counts. All variants share one cache directory:
 # variant 1 runs cold (simulate + store), the rest run warm (served from
 # disk), so this also proves cached snapshots round-trip the sketches
 # bit-exactly through the blob codec.
@@ -21,9 +21,9 @@ set(ONLY "fig2_latency_cdf,fig10_outage_recovery,fig12_handover_recovery")
 
 # Variant args are space-separated (a ';' would split the outer list).
 set(variants
-  "cold_j1_b1|--jobs=1 --batch=1"
-  "warm_j8_b16|--jobs=8 --batch=16"
-  "warm_j2_b1|--jobs=2 --batch=1")
+  "cold_j1|--jobs=1"
+  "warm_j8|--jobs=8"
+  "warm_j2|--jobs=2")
 
 set(names "")
 foreach(variant IN LISTS variants)
@@ -71,7 +71,7 @@ foreach(name IN LISTS names)
             "\"sketches\" section differs between ${reference} and ${name} "
             "(${OUT}/${reference}/sketches_section.txt vs "
             "${OUT}/${name}/sketches_section.txt) — sketch merge is not "
-            "order/jobs/batch/cache independent")
+            "order/jobs/cache independent")
   endif()
 endforeach()
 

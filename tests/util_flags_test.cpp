@@ -82,9 +82,9 @@ TEST(FlagsTest, NonFiniteDoublesRejected) {
 TEST(FlagsTest, IntegerTrailingGarbageRejected) {
   // std::stoll would happily stop at the first non-digit; "--jobs=5x" must
   // not silently run with 5 jobs.
-  const Flags flags = Parse({"--jobs=5x", "--batch=1 ", "--n=0x10"});
+  const Flags flags = Parse({"--jobs=5x", "--sessions=1 ", "--n=0x10"});
   EXPECT_THROW(flags.GetInt("jobs", 0), std::invalid_argument);
-  EXPECT_THROW(flags.GetInt("batch", 1), std::invalid_argument);
+  EXPECT_THROW(flags.GetInt("sessions", 1), std::invalid_argument);
   EXPECT_THROW(flags.GetInt("n", 0), std::invalid_argument);
   try {
     flags.GetInt("jobs", 0);
@@ -110,19 +110,19 @@ TEST(FlagsTest, IntegerOverflowRejected) {
 }
 
 TEST(FlagsTest, RangedGetIntEnforcesBounds) {
-  const Flags flags = Parse({"--jobs=-1", "--batch=0", "--ok=8"});
-  // --jobs can't be negative, --batch can't be zero; the error names the
+  const Flags flags = Parse({"--jobs=-1", "--sessions=0", "--ok=8"});
+  // --jobs can't be negative, --sessions can't be zero; the error names the
   // flag and the accepted range.
   EXPECT_THROW(flags.GetInt("jobs", 0, 0, 1 << 16), std::invalid_argument);
-  EXPECT_THROW(flags.GetInt("batch", 1, 1, 1 << 16), std::invalid_argument);
+  EXPECT_THROW(flags.GetInt("sessions", 1, 1, 1 << 16), std::invalid_argument);
   EXPECT_EQ(flags.GetInt("ok", 0, 0, 1 << 16), 8);
   EXPECT_EQ(flags.GetInt("absent", 3, 0, 1 << 16), 3);
   try {
-    flags.GetInt("batch", 1, 1, 1 << 16);
+    flags.GetInt("sessions", 1, 1, 1 << 16);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("--batch"), std::string::npos) << what;
+    EXPECT_NE(what.find("--sessions"), std::string::npos) << what;
     EXPECT_NE(what.find("range"), std::string::npos) << what;
   }
 }
