@@ -133,7 +133,8 @@ void AbrRateControl::OnFrameEncoded(const FrameOutcome& outcome,
 
   BitPredictor& pred =
       outcome.type == FrameType::kKey ? pred_key_ : pred_delta_;
-  pred.Update(outcome.complexity_term, outcome.qscale, outcome.size);
+  pred.Update(outcome.complexity_term, outcome.qscale, outcome.size,
+              outcome.qscale_pow, outcome.gamma);
 
   vbv_.AddFrame(outcome.size);
   RAVE_TRACE_COUNTER(kVbvFill, now, vbv_.fullness());

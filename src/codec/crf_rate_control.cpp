@@ -78,7 +78,8 @@ void CrfRateControl::OnFrameEncoded(const FrameOutcome& outcome,
   short_term_cplx_count_ = short_term_cplx_count_ * 0.5 + 1.0;
   BitPredictor& pred =
       outcome.type == FrameType::kKey ? pred_key_ : pred_delta_;
-  pred.Update(outcome.complexity_term, outcome.qscale, outcome.size);
+  pred.Update(outcome.complexity_term, outcome.qscale, outcome.size,
+              outcome.qscale_pow, outcome.gamma);
   if (vbv_) vbv_->AddFrame(outcome.size);
   last_qscale_ = outcome.qscale;
 }

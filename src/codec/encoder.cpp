@@ -79,10 +79,12 @@ EncodedFrame Encoder::EncodeFrame(const video::RawFrame& frame,
   int reencodes = 0;
   double qp = std::clamp(guidance.qp, kMinQp, kMaxQp);
   double qscale = QpToQscale(qp);
+  const double gamma = rd_.Gamma(type);
+  double qscale_pow = 0.0;
   DataSize size = DataSize::Zero();
   {
     const obs::StageTimer::Scope timer(obs::StageTimer::kRd);
-    size = rd_.ActualBits(type, frame, qscale);
+    size = rd_.ActualBits(type, frame, qscale, &qscale_pow);
     // Hard-cap enforcement: re-encode at a higher QP until the frame fits
     // or the retry budget is spent (x264's VBV loop with row-level
     // re-quant).
@@ -93,13 +95,11 @@ EncodedFrame Encoder::EncodeFrame(const video::RawFrame& frame,
              reencodes < config_.max_reencodes && qp < kMaxQp) {
         // Scale qscale by the observed overshoot, inverted through the
         // type-appropriate exponent, with a safety factor.
-        const double gamma =
-            type == FrameType::kKey ? config_.rd.gamma_i : config_.rd.gamma_p;
         const double overshoot = static_cast<double>(size.bits()) / cap;
         qscale *= simd::PowS(overshoot * 1.1, 1.0 / gamma);
         qscale = std::clamp(qscale, QpToQscale(kMinQp), QpToQscale(kMaxQp));
         qp = QscaleToQp(qscale);
-        size = rd_.ActualBits(type, frame, qscale);
+        size = rd_.ActualBits(type, frame, qscale, &qscale_pow);
         ++reencodes;
       }
     }
@@ -140,6 +140,8 @@ EncodedFrame Encoder::EncodeFrame(const video::RawFrame& frame,
   outcome.skipped = false;
   outcome.qp = qp;
   outcome.qscale = qscale;
+  outcome.qscale_pow = qscale_pow;
+  outcome.gamma = gamma;
   outcome.size = size;
   outcome.complexity_term = cplx_term;
   outcome.capture_time = frame.capture_time;

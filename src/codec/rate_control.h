@@ -34,6 +34,11 @@ struct FrameOutcome {
   bool skipped = false;
   double qp = 0.0;
   double qscale = 0.0;
+  /// qscale^gamma as the R-D size law computed it, and the gamma it used
+  /// (0 when skipped). BitPredictor::Update reuses the power when its own
+  /// gamma matches.
+  double qscale_pow = 0.0;
+  double gamma = 0.0;
   DataSize size = DataSize::Zero();
   /// pixels * complexity actually used by the R-D model for this frame;
   /// rate controls feed it to their BitPredictors.

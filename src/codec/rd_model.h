@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 #include "util/rng.h"
 #include "util/units.h"
@@ -59,8 +60,10 @@ class RdModel {
 
   /// Actual size: expected size perturbed by this encoder's noise stream.
   /// Each call draws fresh noise (so a re-encode at a new QP re-rolls).
+  /// If `qscale_pow` is non-null it receives the qscale^Gamma(type) the size
+  /// law used, for the rate control's BitPredictor::Update.
   DataSize ActualBits(FrameType type, const video::RawFrame& frame,
-                      double qscale);
+                      double qscale, double* qscale_pow = nullptr);
 
   /// Inverts the expected-size model: qscale needed for `target` bits.
   /// Returns a qscale clamped to the valid QP range.
@@ -68,19 +71,32 @@ class RdModel {
                        DataSize target) const;
 
   /// SSIM-like quality proxy in (0, 1], monotonically decreasing in qscale.
-  double Ssim(const video::RawFrame& frame, double qscale) const;
+  double Ssim(const video::RawFrame& frame, double qscale);
 
   /// PSNR-like proxy in dB, monotonically decreasing in QP.
   double Psnr(const video::RawFrame& frame, double qp) const;
 
+  /// Size-law qscale exponent of a frame type (gamma_i or gamma_p).
+  double Gamma(FrameType type) const {
+    return type == FrameType::kKey ? config_.gamma_i : config_.gamma_p;
+  }
+
   const RdModelConfig& config() const { return config_; }
 
  private:
+  /// Noise-free size, floored at min_frame_bits, given qscale^Gamma(type).
   double RawExpected(FrameType type, const video::RawFrame& frame,
-                     double qscale) const;
+                     double qscale_pow) const;
+  /// qscale^exponent, bit-identical to simd::PowS. log2(qscale) is kept for
+  /// the last qscale seen, so the size law and Ssim of one encode share a
+  /// single Log2S.
+  double QscalePow(double qscale, double exponent);
 
   RdModelConfig config_;
   Rng rng_;
+  /// QscalePow's one-entry memo (NaN: empty; it never compares equal).
+  double memo_qscale_ = std::numeric_limits<double>::quiet_NaN();
+  double memo_log2_qscale_ = 0.0;
   /// Cached reciprocal exponents for the QscaleForBits inversions.
   double inv_gamma_i_;
   double inv_gamma_p_;
@@ -103,8 +119,12 @@ class BitPredictor {
   /// Qscale at which the predictor expects `target` bits.
   double QscaleForBits(double complexity_term, DataSize target) const;
 
-  /// Feeds an observation (the frame actually produced `bits`).
-  void Update(double complexity_term, double qscale, DataSize bits);
+  /// Feeds an observation (the frame actually produced `bits`). Callers that
+  /// already hold qscale^pow_gamma pass it: it is reused when pow_gamma equals
+  /// this predictor's gamma and recomputed otherwise (pow_gamma 0, the
+  /// default, never matches).
+  void Update(double complexity_term, double qscale, DataSize bits,
+              double qscale_pow = 0.0, double pow_gamma = 0.0);
 
   double coef() const { return coef_; }
 

@@ -106,7 +106,8 @@ void AdaptiveRateControl::OnFrameEncoded(const codec::FrameOutcome& outcome,
   codec::BitPredictor& pred = outcome.type == codec::FrameType::kKey
                                   ? pred_key_
                                   : pred_delta_;
-  pred.Update(outcome.complexity_term, outcome.qscale, outcome.size);
+  pred.Update(outcome.complexity_term, outcome.qscale, outcome.size,
+              outcome.qscale_pow, outcome.gamma);
   last_qp_ = outcome.qp;
 
   // Locally account for the bits we just committed: they will sit in the

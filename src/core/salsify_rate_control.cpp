@@ -67,7 +67,8 @@ void SalsifyRateControl::OnFrameEncoded(const codec::FrameOutcome& outcome,
   codec::BitPredictor& pred = outcome.type == codec::FrameType::kKey
                                   ? pred_key_
                                   : pred_delta_;
-  pred.Update(outcome.complexity_term, outcome.qscale, outcome.size);
+  pred.Update(outcome.complexity_term, outcome.qscale, outcome.size,
+              outcome.qscale_pow, outcome.gamma);
 
   // Account for the bits just committed until the next observation.
   state_.backlog += outcome.size;

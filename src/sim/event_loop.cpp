@@ -1,6 +1,5 @@
 #include "sim/event_loop.h"
 
-#include <bit>
 #include <cassert>
 #include <cstdlib>
 #include <utility>
@@ -114,9 +113,7 @@ void EventLoop::BucketAppend(int64_t offset, uint32_t slot) {
   Bucket& b = wheel_[static_cast<size_t>(offset)];
   if (b.tail == kNilSlot) {
     b.head = slot;
-    const size_t word = static_cast<size_t>(offset >> 6);
-    occupied_[word] |= 1ull << (offset & 63);
-    if (word < scan_word_) scan_word_ = word;
+    occupied_.Set(offset);
   } else {
     slots_[b.tail].next = slot;
   }
@@ -128,7 +125,7 @@ void EventLoop::BucketPopHead(int64_t offset) {
   b.head = slots_[b.head].next;
   if (b.head == kNilSlot) {
     b.tail = kNilSlot;
-    occupied_[static_cast<size_t>(offset >> 6)] &= ~(1ull << (offset & 63));
+    occupied_.Clear(offset);
   }
 }
 
@@ -137,35 +134,11 @@ void EventLoop::L1Append(int64_t bucket, uint32_t slot) {
   Bucket& b = l1_wheel_[static_cast<size_t>(bucket)];
   if (b.tail == kNilSlot) {
     b.head = slot;
-    const size_t word = static_cast<size_t>(bucket >> 6);
-    l1_occupied_[word] |= 1ull << (bucket & 63);
-    if (word < l1_scan_word_) l1_scan_word_ = word;
+    l1_occupied_.Set(bucket);
   } else {
     slots_[b.tail].next = slot;
   }
   b.tail = slot;
-}
-
-int EventLoop::FindFirstOccupied() const {
-  for (size_t w = scan_word_; w < kWheelWords; ++w) {
-    if (occupied_[w] != 0) {
-      scan_word_ = w;
-      return static_cast<int>(w * 64) + std::countr_zero(occupied_[w]);
-    }
-  }
-  scan_word_ = kWheelWords;
-  return -1;
-}
-
-int EventLoop::FindFirstOccupiedL1() const {
-  for (size_t w = l1_scan_word_; w < kL1Words; ++w) {
-    if (l1_occupied_[w] != 0) {
-      l1_scan_word_ = w;
-      return static_cast<int>(w * 64) + std::countr_zero(l1_occupied_[w]);
-    }
-  }
-  l1_scan_word_ = kL1Words;
-  return -1;
 }
 
 void EventLoop::MigrateL1Bucket(int64_t bucket) {
@@ -173,7 +146,7 @@ void EventLoop::MigrateL1Bucket(int64_t bucket) {
   uint32_t slot = b.head;
   b.head = kNilSlot;
   b.tail = kNilSlot;
-  l1_occupied_[static_cast<size_t>(bucket >> 6)] &= ~(1ull << (bucket & 63));
+  l1_occupied_.Clear(bucket);
   while (slot != kNilSlot) {
     const uint32_t next = slots_[slot].next;
     if (slots_[slot].id == 0) {
@@ -200,7 +173,7 @@ void EventLoop::AdvanceL1(Timestamp horizon) {
 
 Timestamp EventLoop::NextEventTime() {
   for (;;) {
-    const int offset = FindFirstOccupied();
+    const int offset = occupied_.First();
     if (offset >= 0) {
       const uint32_t slot = wheel_[static_cast<size_t>(offset)].head;
       if (slots_[slot].id == 0) {
@@ -210,7 +183,7 @@ Timestamp EventLoop::NextEventTime() {
       }
       return Timestamp::Micros(wheel_base_us_ + offset);
     }
-    const int bucket = FindFirstOccupiedL1();
+    const int bucket = l1_occupied_.First();
     if (bucket >= 0) {
       // An L1 bucket index only resolves time to kWheelSpanUs; walk the (short)
       // FIFO list for the exact minimum, reclaiming head tombstones.
@@ -222,8 +195,7 @@ Timestamp EventLoop::NextEventTime() {
       }
       if (b.head == kNilSlot) {
         b.tail = kNilSlot;
-        l1_occupied_[static_cast<size_t>(bucket >> 6)] &=
-            ~(1ull << (bucket & 63));
+        l1_occupied_.Clear(bucket);
         continue;
       }
       Timestamp min = Timestamp::PlusInfinity();
@@ -246,7 +218,7 @@ Timestamp EventLoop::NextEventTime() {
 
 bool EventLoop::HasEventAtOrBefore(Timestamp t) {
   for (;;) {
-    const int offset = FindFirstOccupied();
+    const int offset = occupied_.First();
     if (offset >= 0) {
       const uint32_t slot = wheel_[static_cast<size_t>(offset)].head;
       if (slots_[slot].id == 0) {
@@ -256,7 +228,7 @@ bool EventLoop::HasEventAtOrBefore(Timestamp t) {
       }
       return Timestamp::Micros(wheel_base_us_ + offset) <= t;
     }
-    const int bucket = FindFirstOccupiedL1();
+    const int bucket = l1_occupied_.First();
     if (bucket >= 0) {
       // Conservative: test the bucket's start, not its exact minimum, so the
       // hot path never walks a list. A refusal is always safe (the caller
@@ -287,12 +259,12 @@ bool EventLoop::TryAdvanceTo(Timestamp t) {
 
 bool EventLoop::PopAndRunNext(Timestamp until) {
   for (;;) {
-    const int offset = FindFirstOccupied();
+    const int offset = occupied_.First();
     if (offset < 0) {
       // L0 window exhausted: refill it from the first occupied L1 bucket
       // (whose span exactly matches the L0 window), else advance the
       // L1 horizon to the earliest overflow-heap event and retry.
-      const int bucket = FindFirstOccupiedL1();
+      const int bucket = l1_occupied_.First();
       if (bucket >= 0) {
         const int64_t block_start = l1_base_us_ + bucket * kWheelSpanUs;
         if (Timestamp::Micros(block_start) > until) return false;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -47,11 +48,12 @@ class EventHandle {
 /// beyond that. Both intrusive bucket lists thread through the slot table.
 /// Every cadence in a session — pacer gaps, link serializations, frame
 /// ticks, feedback intervals, RTX timers — lands inside the L1 horizon, so
-/// the per-event cost is O(1) appends and bitmap scans with no comparisons;
-/// only rare long timers (fault edges, session end) touch the heap. The
-/// levels form a strict time hierarchy — every L0 event precedes every L1
-/// event precedes every heap event — maintained by three invariants that
-/// also make the pop order exactly (fire time, scheduling order):
+/// the per-event cost is O(1) appends and a two-word bitmap lookup (see
+/// Occupancy) with no comparisons; only rare long timers (fault edges,
+/// session end) touch the heap. The levels form a strict time hierarchy —
+/// every L0 event precedes every L1 event precedes every heap event —
+/// maintained by three invariants that also make the pop order exactly
+/// (fire time, scheduling order):
 ///   * a window (L0 or L1) only advances when it is completely empty, so the
 ///     circular index mapping never mixes entries from different windows;
 ///   * L0 advances to the L1 block holding the next event and migrates that
@@ -187,6 +189,30 @@ class EventLoop {
     uint32_t head = kNilSlot;
     uint32_t tail = kNilSlot;
   };
+  /// Occupancy bitmap over one wheel level's 64 x 64 buckets, plus a summary
+  /// word whose bit w is set iff word w is non-zero. Every bit flip keeps the
+  /// summary in step, so First() is two countr_zero calls with no scan.
+  struct Occupancy {
+    std::array<uint64_t, 64> words{};
+    uint64_t summary = 0;
+
+    void Set(int64_t i) {
+      const size_t w = static_cast<size_t>(i >> 6);
+      words[w] |= 1ull << (i & 63);
+      summary |= 1ull << w;
+    }
+    void Clear(int64_t i) {
+      const size_t w = static_cast<size_t>(i >> 6);
+      words[w] &= ~(1ull << (i & 63));
+      if (words[w] == 0) summary &= ~(1ull << w);
+    }
+    /// Index of the lowest set bit, or -1 if none is set.
+    int First() const {
+      if (summary == 0) return -1;
+      const int w = std::countr_zero(summary);
+      return w * 64 + std::countr_zero(words[static_cast<size_t>(w)]);
+    }
+  };
 
   static constexpr uint64_t kSlotMask = 0xFFFFFFull;
   static constexpr int kSlotBits = 24;
@@ -197,12 +223,12 @@ class EventLoop {
   /// per event.
   static constexpr int kWheelShift = 12;
   static constexpr int64_t kWheelSpanUs = int64_t{1} << kWheelShift;
-  static constexpr size_t kWheelWords = kWheelSpanUs / 64;
+  static_assert(kWheelSpanUs <= 64 * 64, "one summary word covers L0");
   /// L1 bucket count; each bucket spans one L0 window, so the L1 horizon is
   /// kWheelSpanUs * kL1Buckets = 2^24 µs ≈ 16.8 s.
   static constexpr int64_t kL1Buckets = 4096;
   static constexpr int64_t kL1SpanUs = kWheelSpanUs * kL1Buckets;
-  static constexpr size_t kL1Words = kL1Buckets / 64;
+  static_assert(kL1Buckets <= 64 * 64, "one summary word covers L1");
 
   bool PopAndRunNext(Timestamp until);
   /// Conservative pending-event probe for TryAdvanceTo: true when some
@@ -222,10 +248,6 @@ class EventLoop {
   void BucketPopHead(int64_t offset);
   /// Appends `slot` to L1 bucket `bucket`.
   void L1Append(int64_t bucket, uint32_t slot);
-  /// Offset of the earliest occupied L0 bucket, or -1 if the window is empty.
-  int FindFirstOccupied() const;
-  /// Index of the earliest occupied L1 bucket, or -1 if L1 is empty.
-  int FindFirstOccupiedL1() const;
   /// Jumps the L0 window onto L1 bucket `bucket` and distributes its FIFO
   /// list into per-µs L0 buckets (reclaiming tombstones). Only legal while
   /// L0 is empty; preserves per-µs scheduling order because the list is
@@ -253,11 +275,8 @@ class EventLoop {
   int64_t wheel_base_us_ = 0;
   /// One FIFO bucket per µs of the L0 window.
   std::array<Bucket, kWheelSpanUs> wheel_{};
-  /// Occupancy bitmap over `wheel_` for O(1) earliest-bucket scans.
-  std::array<uint64_t, kWheelWords> occupied_{};
-  /// Scan hint: every occupancy word below this index is zero. Lowered on
-  /// append, raised by scans (mutable: advancing it is unobservable).
-  mutable size_t scan_word_ = 0;
+  /// Which `wheel_` buckets are non-empty.
+  Occupancy occupied_;
   /// Start of the L1 window; aligned to kL1SpanUs and <= now_ outside
   /// PopAndRunNext, so the circular bucket mapping
   /// (at >> kWheelShift) & (kL1Buckets - 1) is injective over the live
@@ -265,10 +284,8 @@ class EventLoop {
   int64_t l1_base_us_ = 0;
   /// One FIFO bucket per kWheelSpanUs block of the L1 window.
   std::array<Bucket, kL1Buckets> l1_wheel_{};
-  /// Occupancy bitmap over `l1_wheel_`.
-  std::array<uint64_t, kL1Words> l1_occupied_{};
-  /// Scan hint for `l1_occupied_`, same contract as `scan_word_`.
-  mutable size_t l1_scan_word_ = 0;
+  /// Which `l1_wheel_` buckets are non-empty.
+  Occupancy l1_occupied_;
   /// Implicit 4-ary min-heap on (at, seq) holding events beyond the window:
   /// root at 0, children of i at 4i+1..4i+4.
   std::vector<Event> heap_;

@@ -23,5 +23,8 @@ double Exp2S(double x);
 double Log2S(double x);
 double ExpS(double x);
 double PowS(double x, double y);
+/// PowS(x, y) given log2_x == Log2S(x), bit-identical to it: lets callers
+/// raising one base to several exponents take its log2 once.
+double PowFromLog2S(double x, double log2_x, double y);
 
 }  // namespace rave::simd

@@ -119,12 +119,18 @@ inline constexpr double kLog2E = 0x1.71547652b82fep+0;
 
 inline double ExpRef(double x) { return Exp2Ref(x * kLog2E); }
 
-/// x^y as 2^(y*log2 x). Negative bases return NaN by design (the simulator
-/// has none); x==1 and y==0 return exactly 1.0 like std::pow.
-inline double PowRef(double x, double y) {
+/// x^y as 2^(y*log2 x), given log2_x == Log2Ref(x), so a caller raising
+/// one base to several exponents takes its log2 once. Negative bases return
+/// NaN by design (the simulator has none); x==1 and y==0 return exactly 1.0
+/// like std::pow.
+inline double PowFromLog2Ref(double x, double log2_x, double y) {
   if (y == 0.0 || x == 1.0) return 1.0;
   if (x < 0.0) return std::numeric_limits<double>::quiet_NaN();
-  return Exp2Ref(Log2Ref(x) * y);
+  return Exp2Ref(log2_x * y);
+}
+
+inline double PowRef(double x, double y) {
+  return PowFromLog2Ref(x, Log2Ref(x), y);
 }
 
 }  // namespace rave::simd::detail

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "simd/vmath.h"
+
 namespace rave::codec {
 namespace {
 
@@ -189,6 +191,29 @@ TEST(BitPredictorTest, InversionMatchesPrediction) {
   EXPECT_NEAR(static_cast<double>(pred.Predict(cplx, qscale).bits()),
               static_cast<double>(target.bits()),
               0.02 * static_cast<double>(target.bits()));
+}
+
+TEST(BitPredictorTest, ReusesTheModelsPowerOnlyWhenGammaMatches) {
+  RdModel model({}, Rng(5));
+  const video::RawFrame frame = MakeFrame();
+  const double cplx = 1280.0 * 720.0 * frame.temporal_complexity;
+  BitPredictor recomputed(/*gamma=*/1.2);
+  BitPredictor reused(/*gamma=*/1.2);
+  BitPredictor other_gamma(/*gamma=*/1.2);
+  for (int i = 0; i < 20; ++i) {
+    const double qscale = QpToQscale(18 + i);
+    double qscale_pow = 0.0;
+    const DataSize bits =
+        model.ActualBits(FrameType::kDelta, frame, qscale, &qscale_pow);
+    ASSERT_EQ(qscale_pow, simd::PowS(qscale, model.Gamma(FrameType::kDelta)));
+    recomputed.Update(cplx, qscale, bits);
+    reused.Update(cplx, qscale, bits, qscale_pow, /*pow_gamma=*/1.2);
+    // A power taken with another gamma must not be used.
+    other_gamma.Update(cplx, qscale, bits, 2.0 * qscale_pow,
+                       /*pow_gamma=*/0.9);
+  }
+  EXPECT_EQ(reused.coef(), recomputed.coef());
+  EXPECT_EQ(other_gamma.coef(), recomputed.coef());
 }
 
 TEST(BitPredictorTest, IgnoresDegenerateObservations) {

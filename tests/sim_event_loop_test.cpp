@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <queue>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "util/alloc_probe.h"
+#include "util/rng.h"
 
 namespace rave {
 namespace {
@@ -463,6 +467,216 @@ TEST(EventLoopCoalesceTest, LogicalEventCountInvariantAcrossModes) {
   const auto without = run(false);
   EXPECT_EQ(with.first, without.first);
   EXPECT_EQ(with.second, without.second);
+}
+
+// --- differential check against a reference scheduler ---
+//
+// A seeded random workload drives the wheel and a plain std::priority_queue
+// on (at, seq) side by side: schedules at every horizon (same µs, L0, L1,
+// overflow heap, across the 2^24 µs L1 wrap), cancels of live and stale
+// handles, re-entrant schedules and cancels from callbacks, random and
+// exact-event-time RunUntil bounds, NextEventTime peeks and TryAdvanceTo
+// steps. The loop must dispatch exactly the reference's sequence, peek the
+// reference's exact next time, and never grant a step that jumps an event.
+class SchedulerDiff {
+ public:
+  explicit SchedulerDiff(uint64_t seed) : rng_(seed) {
+    loop_.set_coalescing(true);
+  }
+
+  void Run(Timestamp end) {
+    for (int i = 0; i < 64; ++i) ScheduleRandom();
+    while (failure_.empty() && ref_now_ < end.us()) {
+      // Between runs: outside schedules, cancels and peeks.
+      const int64_t ops = rng_.UniformInt(0, 3);
+      for (int64_t i = 0; i < ops; ++i) RandomAction(/*in_callback=*/false);
+      CheckNextEventTime("between runs");
+      int64_t until = ref_now_ + RandomDelayUs();
+      // Bounds exactly on a pending event's time test RunUntil's inclusive
+      // admission.
+      const int64_t next = RefNext();
+      if (next != kNone && rng_.UniformInt(0, 3) == 0) until = next;
+      bound_us_ = until;
+      loop_.RunUntil(Timestamp::Micros(until));
+      bound_us_ = kNone;
+      if (!failure_.empty()) break;
+      const int64_t left = RefNext();
+      if (left != kNone && left <= until) {
+        Fail("RunUntil(" + std::to_string(until) +
+             ") returned with an event pending at " + std::to_string(left));
+      }
+      if (until > ref_now_) ref_now_ = until;
+      if (loop_.now().us() != ref_now_) Fail("now() after RunUntil");
+    }
+  }
+
+  const std::string& failure() const { return failure_; }
+  int64_t dispatched() const { return dispatched_; }
+  int64_t grants() const { return grants_; }
+  int64_t refusals() const { return refusals_; }
+  uint64_t events_executed() const { return loop_.events_executed(); }
+
+ private:
+  static constexpr int64_t kNone = INT64_MAX;
+  enum class State : uint8_t { kPending, kDone };
+  struct RefEvent {
+    int64_t at;
+    uint64_t seq;
+    int id;
+  };
+  struct Later {
+    bool operator()(const RefEvent& a, const RefEvent& b) const {
+      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+    }
+  };
+
+  void Fail(const std::string& what) {
+    if (failure_.empty()) {
+      failure_ = what + " (now " + std::to_string(ref_now_) + " us, after " +
+                 std::to_string(dispatched_) + " dispatches)";
+    }
+  }
+
+  /// Fire time of the reference's earliest pending event, or kNone.
+  int64_t RefNext() {
+    while (!ref_.empty() &&
+           state_[static_cast<size_t>(ref_.top().id)] != State::kPending) {
+      ref_.pop();
+    }
+    return ref_.empty() ? kNone : ref_.top().at;
+  }
+
+  void CheckNextEventTime(const char* where) {
+    const int64_t want = RefNext();
+    const Timestamp got = loop_.NextEventTime();
+    const bool ok = want == kNone ? got == Timestamp::PlusInfinity()
+                                  : got == Timestamp::Micros(want);
+    if (!ok) Fail(std::string("NextEventTime mismatch ") + where);
+  }
+
+  /// Mix of horizons: µs ties, the L0 window, L1, beyond the L1 horizon, and
+  /// times within 2 µs of a window edge (multiples of 2^11, 2^12 or 2^24 µs).
+  int64_t RandomDelayUs() {
+    const int64_t pick = rng_.UniformInt(0, 99);
+    if (pick < 20) return rng_.UniformInt(0, 3);
+    if (pick < 50) return rng_.UniformInt(1, 9'000);
+    if (pick < 72) return rng_.UniformInt(9'000, 2'000'000);
+    if (pick < 87) return rng_.UniformInt(2'000'000, 17'000'000);
+    if (pick < 92) return rng_.UniformInt(16'000'000, 45'000'000);
+    constexpr int kEdgeShifts[] = {11, 12, 24};
+    const int64_t span = int64_t{1}
+                         << kEdgeShifts[rng_.UniformInt(0, 2)];
+    const int64_t edge = (ref_now_ / span + rng_.UniformInt(1, 2)) * span;
+    return edge + rng_.UniformInt(-2, 2) - ref_now_;
+  }
+
+  void ScheduleRandom() {
+    int64_t delay = RandomDelayUs();
+    if (rng_.UniformInt(0, 49) == 0) delay = -rng_.UniformInt(1, 1000);
+    const int id = static_cast<int>(state_.size());
+    const int64_t at = ref_now_ + (delay > 0 ? delay : 0);
+    state_.push_back(State::kPending);
+    ref_.push(RefEvent{at, next_seq_++, id});
+    handles_.push_back(
+        loop_.Schedule(TimeDelta::Micros(delay), [this, id] { OnFire(id); }));
+  }
+
+  void CancelRandom() {
+    if (handles_.empty()) return;
+    // Any handle ever issued: live ones die, fired or cancelled ones are
+    // stale and must be no-ops.
+    const size_t id = static_cast<size_t>(
+        rng_.UniformInt(0, static_cast<int64_t>(handles_.size()) - 1));
+    loop_.Cancel(handles_[id]);
+    state_[id] = State::kDone;
+  }
+
+  void RandomAction(bool in_callback) {
+    const int64_t pick = rng_.UniformInt(0, 9);
+    if (pick < 6) {
+      ScheduleRandom();
+    } else if (pick < 8) {
+      CancelRandom();
+    } else if (pick < 9) {
+      CheckNextEventTime(in_callback ? "in callback" : "between runs");
+    } else if (in_callback) {
+      TryStep();
+    }
+  }
+
+  void TryStep() {
+    const int64_t t = ref_now_ + rng_.UniformInt(0, 6'000);
+    const int64_t next = RefNext();
+    if (!loop_.TryAdvanceTo(Timestamp::Micros(t))) {
+      ++refusals_;
+      if (next == kNone && t <= bound_us_) Fail("refused with nothing pending");
+      return;
+    }
+    ++grants_;
+    if (t > bound_us_) Fail("granted a step past the RunUntil bound");
+    if (next != kNone && next <= t) {
+      Fail("granted a step to " + std::to_string(t) +
+           " over an event at " + std::to_string(next));
+    }
+    ref_now_ = t;
+    if (loop_.now().us() != t) Fail("now() after a granted step");
+  }
+
+  void OnFire(int id) {
+    if (!failure_.empty()) return;
+    const int64_t next = RefNext();
+    if (next == kNone || ref_.top().id != id) {
+      Fail("dispatched event " + std::to_string(id) + ", reference expected " +
+           (next == kNone ? std::string("none")
+                          : std::to_string(ref_.top().id)));
+      return;
+    }
+    if (loop_.now().us() != next) Fail("dispatched at the wrong time");
+    ref_.pop();
+    state_[static_cast<size_t>(id)] = State::kDone;
+    ref_now_ = next;
+    ++dispatched_;
+    // Grow the pending population to ~400 events and hold it there.
+    const size_t live = loop_.pending();
+    int64_t actions = rng_.UniformInt(0, 4);
+    if (live < 32) actions = 4;
+    if (live > 400) actions = 0;
+    for (int64_t i = 0; i < actions; ++i) RandomAction(/*in_callback=*/true);
+  }
+
+  EventLoop loop_;
+  Rng rng_;
+  std::priority_queue<RefEvent, std::vector<RefEvent>, Later> ref_;
+  std::vector<State> state_;
+  std::vector<EventHandle> handles_;
+  uint64_t next_seq_ = 0;
+  int64_t ref_now_ = 0;
+  int64_t bound_us_ = kNone;
+  int64_t dispatched_ = 0;
+  int64_t grants_ = 0;
+  int64_t refusals_ = 0;
+  std::string failure_;
+};
+
+TEST(EventLoopDifferentialTest, MatchesReferenceSchedulerAcrossTiers) {
+  int64_t dispatched = 0;
+  int64_t grants = 0;
+  int64_t refusals = 0;
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    SchedulerDiff diff(seed);
+    // 60 s crosses the 2^24 µs (~16.8 s) L1 horizon three times.
+    diff.Run(Timestamp::Seconds(60));
+    ASSERT_EQ(diff.failure(), "") << "seed " << seed;
+    EXPECT_EQ(diff.events_executed(),
+              static_cast<uint64_t>(diff.dispatched() + diff.grants()));
+    dispatched += diff.dispatched();
+    grants += diff.grants();
+    refusals += diff.refusals();
+  }
+  // The workload must actually exercise dispatch and both step outcomes.
+  EXPECT_GT(dispatched, 20'000);
+  EXPECT_GT(grants, 100);
+  EXPECT_GT(refusals, 100);
 }
 
 }  // namespace

@@ -160,6 +160,31 @@ TEST(SimdVmath, PowSpecialCases) {
   EXPECT_TRUE(std::isnan(PowS(2.0, kNan)));
 }
 
+TEST(SimdVmath, PowFromLog2IsBitIdenticalToPow) {
+  // Callers that hoist Log2S(x) out of several powers of one base rely on
+  // PowFromLog2S reproducing PowS exactly, specials included.
+  std::vector<double> bases = EdgeInputs();
+  const std::vector<double> random = RandomPositive(11, 2000);
+  bases.insert(bases.end(), random.begin(), random.end());
+  std::vector<double> exponents = {0.0,  -0.0, 1.0,  -1.0, 0.7, 0.9,
+                                   1.2,  kInf, -kInf, kNan};
+  const std::vector<double> wide = RandomExponents(12, 40);
+  for (const double e : wide) exponents.push_back(e / 64.0);
+  for (const double b : bases) {
+    const double log2_b = Log2S(b);
+    for (const double y : exponents) {
+      const double want = PowS(b, y);
+      const double got = PowFromLog2S(b, log2_b, y);
+      if (std::isnan(want)) {
+        EXPECT_TRUE(std::isnan(got)) << "base=" << b << " exp=" << y;
+      } else {
+        EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+            << "base=" << b << " exp=" << y;
+      }
+    }
+  }
+}
+
 TEST(SimdKernels, FitSlopeMatchesDirectRegression) {
   // A perfectly linear series recovers its slope almost exactly.
   std::vector<double> x;
