@@ -109,15 +109,6 @@ const obs::QuantileSketch* LatencySketch(const rtc::SessionResult& result) {
   return &m->sketch;
 }
 
-std::vector<double> FrameLatenciesMs(const rtc::SessionResult& result) {
-  std::vector<double> ms;
-  ms.reserve(result.frames.size());
-  for (const auto& f : result.frames) {
-    if (auto l = f.latency()) ms.push_back(l->ms_float());
-  }
-  return ms;
-}
-
 rtc::SessionConfig DefaultConfig(rtc::Scheme scheme,
                                  Interned<net::CapacityTrace> trace,
                                  video::ContentClass content,

@@ -119,12 +119,6 @@ std::vector<fault::WirelessProfile> WirelessSuite(TimeDelta duration,
 void ApplyWirelessProfile(rtc::SessionConfig& config,
                           const fault::WirelessProfile& profile);
 
-/// Per-frame end-to-end latencies (ms) of the delivered frames, in capture
-/// order. The exact-vector reference path: benches use LatencySketch for
-/// percentiles; this remains for per-frame analyses and for tests/tab4 to
-/// validate sketch accuracy against exact order statistics.
-std::vector<double> FrameLatenciesMs(const rtc::SessionResult& result);
-
 /// Mean latency reduction of `treatment` vs `baseline` in percent.
 double ReductionPercent(double baseline, double treatment);
 

@@ -302,22 +302,16 @@ std::vector<std::pair<std::string, std::string>> QualityPairs(
       case MetricKind::kGauge:
         pairs.emplace_back(m.name, FormatExact(m.gauge));
         break;
-      case MetricKind::kHistogram:
-      case MetricKind::kSketch: {
-        const bool sketch = m.kind == MetricKind::kSketch;
-        const uint64_t count = sketch ? m.sketch.count() : m.count;
-        pairs.emplace_back(m.name + ".count", std::to_string(count));
-        pairs.emplace_back(m.name + ".sum",
-                           FormatExact(sketch ? m.sketch.sum() : m.sum));
-        pairs.emplace_back(m.name + ".min",
-                           FormatExact(sketch ? m.sketch.min() : m.min));
-        pairs.emplace_back(m.name + ".max",
-                           FormatExact(sketch ? m.sketch.max() : m.max));
+      case MetricKind::kSketch:
+        pairs.emplace_back(m.name + ".count",
+                           std::to_string(m.sketch.count()));
+        pairs.emplace_back(m.name + ".sum", FormatExact(m.sketch.sum()));
+        pairs.emplace_back(m.name + ".min", FormatExact(m.sketch.min()));
+        pairs.emplace_back(m.name + ".max", FormatExact(m.sketch.max()));
         pairs.emplace_back(m.name + ".p50", FormatExact(m.Percentile(0.50)));
         pairs.emplace_back(m.name + ".p95", FormatExact(m.Percentile(0.95)));
         pairs.emplace_back(m.name + ".p99", FormatExact(m.Percentile(0.99)));
         break;
-      }
     }
   }
   return pairs;

@@ -63,9 +63,8 @@ struct HistoryRecord {
 
 /// Distills a merged registry snapshot into quality pairs: `wall.*` and
 /// `alloc.*` metrics are excluded (host-side), counters/gauges keep their
-/// value, sketches and histograms expand to .count/.sum/.min/.max and
-/// .p50/.p95/.p99. Doubles are formatted with max_digits10 so equal strings
-/// mean equal bits.
+/// value, sketches expand to .count/.sum/.min/.max and .p50/.p95/.p99.
+/// Doubles are formatted with max_digits10 so equal strings mean equal bits.
 std::vector<std::pair<std::string, std::string>> QualityPairs(
     const obs::RegistrySnapshot& snapshot);
 

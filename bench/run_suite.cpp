@@ -12,7 +12,7 @@
 //
 // BENCH_suite.json carries three metric sections:
 //   "metrics"  — the deterministic merge of every session's metric registry
-//                (counters, gauges, sketch/histogram percentiles); identical
+//                (counters, gauges, sketch percentiles); identical
 //                between cold and warm passes and across job counts.
 //   "sketches" — one line per merged quantile sketch: exact count/sum/
 //                min/max, the standard percentile ladder, and the encoded
@@ -108,14 +108,6 @@ void WriteMetricsJson(std::ostream& json, const char* indent,
         break;
       case MetricKind::kGauge:
         json << "\"kind\": \"gauge\", \"value\": " << Num(m.gauge);
-        break;
-      case MetricKind::kHistogram:
-        json << "\"kind\": \"histogram\", \"count\": " << m.count
-             << ", \"sum\": " << Num(m.sum) << ", \"min\": " << Num(m.min)
-             << ", \"max\": " << Num(m.max)
-             << ", \"p50\": " << Num(m.Percentile(0.50))
-             << ", \"p95\": " << Num(m.Percentile(0.95))
-             << ", \"p99\": " << Num(m.Percentile(0.99));
         break;
       case MetricKind::kSketch:
         json << "\"kind\": \"sketch\", \"count\": " << m.sketch.count()

@@ -45,13 +45,11 @@
 #include "common.h"
 #include "core/adaptive_rate_control.h"
 #include "obs/metrics_registry.h"
-#include "obs/sketch.h"
 #include "obs/stage_timer.h"
 #include "rtc/session.h"
 #include "runner/parallel_runner.h"
 #include "sim/event_loop.h"
 #include "util/alloc_probe.h"
-#include "util/byteio.h"
 #include "util/flags.h"
 #include "util/table.h"
 #include "video/video_source.h"
@@ -298,105 +296,8 @@ HotpathStats MeasureHotpath(bool smoke) {
   return stats;
 }
 
-// --- sketch-vs-vector aggregation -------------------------------------
-
-struct AggregationStats {
-  /// Sessions folded into the cross-session aggregate per second.
-  double sketch_sessions_per_s = 0;
-  double vector_sessions_per_s = 0;
-  /// Bytes each path retains per session to answer percentile queries.
-  double sketch_bytes_per_session = 0;
-  double vector_bytes_per_session = 0;
-  double samples_per_session = 0;
-};
-
-/// Cross-session latency aggregation, both candidate paths: merging the
-/// per-session quantile sketches (what the suite does now — O(sketch)
-/// memory) vs retaining every per-frame latency vector and selecting exact
-/// order statistics (the old path — O(total frames) memory). Each round
-/// aggregates the same simulated sessions and answers the p50/p95/p99
-/// ladder, so the throughput numbers compare like for like.
-AggregationStats MeasureAggregation(bool smoke) {
-  AggregationStats stats;
-  const int sessions = 8;
-  const double severities[] = {0.3, 0.5, 0.7};
-  std::vector<rtc::SessionResult> results;
-  results.reserve(static_cast<size_t>(sessions));
-  for (int i = 0; i < sessions; ++i) {
-    results.push_back(rtc::RunSession(bench::DefaultConfig(
-        rtc::Scheme::kAdaptive,
-        bench::DropTrace(severities[static_cast<size_t>(i) % 3]),
-        video::ContentClass::kTalkingHead,
-        TimeDelta::SecondsF(smoke ? 6.0 : 15.0),
-        static_cast<uint64_t>(i) + 1)));
-  }
-
-  std::vector<const obs::QuantileSketch*> sketches;
-  std::vector<std::vector<double>> vectors;
-  uint64_t total_samples = 0;
-  uint64_t sketch_bytes = 0;
-  for (const rtc::SessionResult& r : results) {
-    const obs::QuantileSketch* s = bench::LatencySketch(r);
-    if (s == nullptr) continue;
-    sketches.push_back(s);
-    vectors.push_back(bench::FrameLatenciesMs(r));
-    total_samples += vectors.back().size();
-    ByteWriter w;
-    s->Encode(w);
-    sketch_bytes += w.bytes().size();
-  }
-  if (sketches.empty()) return stats;
-  stats.samples_per_session =
-      static_cast<double>(total_samples) / static_cast<double>(sketches.size());
-  stats.sketch_bytes_per_session =
-      static_cast<double>(sketch_bytes) / static_cast<double>(sketches.size());
-  stats.vector_bytes_per_session =
-      stats.samples_per_session * static_cast<double>(sizeof(double));
-
-  const int rounds = smoke ? 200 : 2000;
-  const double quantiles[] = {0.50, 0.95, 0.99};
-  double sink = 0;
-  {
-    const auto start = std::chrono::steady_clock::now();
-    for (int r = 0; r < rounds; ++r) {
-      obs::QuantileSketch merged;
-      for (const obs::QuantileSketch* s : sketches) merged.Merge(*s);
-      for (double q : quantiles) sink += merged.Quantile(q);
-    }
-    stats.sketch_sessions_per_s = static_cast<double>(rounds) *
-                                  static_cast<double>(sketches.size()) /
-                                  WallSeconds(start);
-  }
-  {
-    std::vector<double> all;
-    const auto start = std::chrono::steady_clock::now();
-    for (int r = 0; r < rounds; ++r) {
-      all.clear();
-      all.reserve(static_cast<size_t>(total_samples));
-      for (const std::vector<double>& v : vectors) {
-        all.insert(all.end(), v.begin(), v.end());
-      }
-      for (double q : quantiles) {
-        const size_t k = std::min(
-            all.size() - 1,
-            static_cast<size_t>(q * static_cast<double>(all.size() - 1)));
-        std::nth_element(all.begin(),
-                         all.begin() + static_cast<std::ptrdiff_t>(k),
-                         all.end());
-        sink += all[k];
-      }
-    }
-    stats.vector_sessions_per_s = static_cast<double>(rounds) *
-                                  static_cast<double>(vectors.size()) /
-                                  WallSeconds(start);
-  }
-  benchmark::DoNotOptimize(sink);
-  return stats;
-}
-
 void RunHotpathSection(bool smoke, const std::string& json_path) {
   const HotpathStats stats = MeasureHotpath(smoke);
-  const AggregationStats agg = MeasureAggregation(smoke);
 
   std::cout << "\nEvent-loop hot path (manual timing, batch=4096"
             << (stats.alloc_probe ? ", alloc probe on" : ", alloc probe OFF")
@@ -416,20 +317,6 @@ void RunHotpathSection(bool smoke, const std::string& json_path) {
       .Cell(stats.allocs_per_frame, 2);
   table.Print(std::cout);
 
-  std::cout << "\nCross-session latency aggregation ("
-            << agg.samples_per_session << " samples/session): sketch merge "
-               "vs exact vectors\n\n";
-  Table agg_table({"path", "sessions/s", "bytes/session"});
-  agg_table.AddRow()
-      .Cell("sketch merge + quantile ladder")
-      .Cell(agg.sketch_sessions_per_s, 0)
-      .Cell(agg.sketch_bytes_per_session, 0);
-  agg_table.AddRow()
-      .Cell("vector concat + nth_element")
-      .Cell(agg.vector_sessions_per_s, 0)
-      .Cell(agg.vector_bytes_per_session, 0);
-  agg_table.Print(std::cout);
-
   if (json_path != "-") {
     std::ofstream json(json_path);
     json << "{\n"
@@ -440,17 +327,7 @@ void RunHotpathSection(bool smoke, const std::string& json_path) {
          << "  \"schedule_cancel_events_per_s\": "
          << stats.schedule_cancel_events_per_s << ",\n"
          << "  \"allocs_per_event\": " << stats.allocs_per_event << ",\n"
-         << "  \"allocs_per_frame\": " << stats.allocs_per_frame << ",\n"
-         << "  \"sketch_agg_sessions_per_s\": " << agg.sketch_sessions_per_s
-         << ",\n"
-         << "  \"vector_agg_sessions_per_s\": " << agg.vector_sessions_per_s
-         << ",\n"
-         << "  \"sketch_bytes_per_session\": " << agg.sketch_bytes_per_session
-         << ",\n"
-         << "  \"vector_bytes_per_session\": " << agg.vector_bytes_per_session
-         << ",\n"
-         << "  \"agg_samples_per_session\": " << agg.samples_per_session
-         << "\n}\n";
+         << "  \"allocs_per_frame\": " << stats.allocs_per_frame << "\n}\n";
     std::cout << "wrote " << json_path << "\n";
   }
 }

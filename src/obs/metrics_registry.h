@@ -1,5 +1,5 @@
-// Per-session metrics registry: counters, gauges, and fixed-bucket
-// histograms that subsystems register into by name. A registry belongs to
+// Per-session metrics registry: counters, gauges, and mergeable quantile
+// sketches that subsystems register into by name. A registry belongs to
 // one session (install with MetricsScope, mirror of obs::TraceScope); at
 // the end of a run it is snapshotted into the SessionResult, serialized
 // through the result-cache blob, and merged across sessions by run_suite
@@ -15,10 +15,8 @@
 // log-bucket histograms with exact count/min/max and a fixed-point sum,
 // whose merge is commutative/associative and bit-identical under any shard
 // order — the property the suite-wide "sketches" aggregation and the
-// cross-run regression sentinel rely on. The older fixed-bound Histogram
-// (inclusive upper bounds + overflow bucket, linear-interpolated
-// percentiles) is kept for callers that want hand-picked bucket layouts,
-// but registry call sites have been upgraded to sketches.
+// cross-run regression sentinel rely on. The sketch is the registry's only
+// distribution type.
 #pragma once
 
 #include <cstdint>
@@ -59,46 +57,9 @@ class Gauge {
   double value_ = 0.0;
 };
 
-/// Fixed-bucket histogram: `bounds` are inclusive upper bucket bounds in
-/// ascending order; values above the last bound land in an overflow bucket.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> bounds);
-
-  void Record(double v);
-
-  uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double min() const { return min_; }
-  double max() const { return max_; }
-  const std::vector<double>& bounds() const { return bounds_; }
-  /// bucket_counts().size() == bounds().size() + 1 (last is overflow).
-  const std::vector<uint64_t>& bucket_counts() const { return counts_; }
-
-  /// Value at quantile q in [0,1], linearly interpolated inside the bucket;
-  /// clamped to [min(), max()]. 0 when empty.
-  double Percentile(double q) const;
-
- private:
-  std::vector<double> bounds_;
-  std::vector<uint64_t> counts_;
-  uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// `count` upper bounds spaced geometrically from `lo` to `hi` (both > 0).
-std::vector<double> ExponentialBounds(double lo, double hi, size_t count);
-/// `count` upper bounds spaced evenly from `lo + step` to `hi`.
-std::vector<double> LinearBounds(double lo, double hi, size_t count);
-
-enum class MetricKind : uint8_t {
-  kCounter = 0,
-  kGauge = 1,
-  kHistogram = 2,
-  kSketch = 3
-};
+/// Wire values are stable: 2 was the retired fixed-bucket histogram and is
+/// never reused, so a blob carrying it fails to decode.
+enum class MetricKind : uint8_t { kCounter = 0, kGauge = 1, kSketch = 3 };
 
 /// Serializable copy of one metric at snapshot time.
 struct MetricSnapshot {
@@ -106,19 +67,12 @@ struct MetricSnapshot {
   MetricKind kind = MetricKind::kCounter;
   uint64_t counter = 0;
   double gauge = 0.0;
-  // Histogram payload (kind == kHistogram only).
-  std::vector<double> bounds;
-  std::vector<uint64_t> bucket_counts;
+  /// Gauge merge weight: how many sessions `gauge` averages over.
   uint64_t count = 0;
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  // Sketch payload (kind == kSketch only); the generic count/sum/min/max
-  // fields above stay at their defaults — read the sketch's accessors.
+  // Sketch payload (kind == kSketch only).
   QuantileSketch sketch;
 
-  /// Percentile over the snapshotted distribution (histogram buckets or
-  /// the sketch, by kind).
+  /// Quantile of the snapshotted sketch; 0 for other kinds.
   double Percentile(double q) const;
 
   bool operator==(const MetricSnapshot&) const = default;
@@ -129,10 +83,9 @@ struct RegistrySnapshot {
   std::vector<MetricSnapshot> metrics;
 
   const MetricSnapshot* Find(const std::string& name) const;
-  /// Merges `other` in: counters/histogram buckets add, gauges become
+  /// Merges `other` in: counters add, sketches merge, gauges become
   /// averaged via (sum,count) — used by suite aggregation where a gauge
-  /// across sessions reads as the mean. Bucket layouts must match for
-  /// histograms with the same name; mismatches are skipped.
+  /// across sessions reads as the mean.
   void Merge(const RegistrySnapshot& other);
 
   void Encode(ByteWriter& w) const;
@@ -150,14 +103,9 @@ class MetricsRegistry {
  public:
   Counter* GetCounter(std::string_view name);
   Gauge* GetGauge(std::string_view name);
-  /// `make_bounds` (e.g. `[] { return ExponentialBounds(1, 1e4, 10); }`) is
-  /// invoked only when the histogram does not exist yet; later calls with
-  /// the same name return the existing histogram and never build bounds.
-  Histogram* GetHistogram(std::string_view name,
-                          std::vector<double> (*make_bounds)());
-  /// Mergeable log-bucket quantile sketch (obs/sketch.h) — the default
-  /// choice for distribution metrics; no bounds to pick, and suite-wide
-  /// merges stay bit-identical under any shard order.
+  /// Mergeable log-bucket quantile sketch (obs/sketch.h) for distribution
+  /// metrics; no bounds to pick, and suite-wide merges stay bit-identical
+  /// under any shard order.
   QuantileSketch* GetSketch(std::string_view name);
 
   RegistrySnapshot Snapshot() const;
@@ -168,7 +116,6 @@ class MetricsRegistry {
     MetricKind kind;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
     std::unique_ptr<QuantileSketch> sketch;
   };
   struct SvHash {

@@ -75,8 +75,7 @@ double QuantileSketch::Quantile(double q) const {
   q = std::clamp(q, 0.0, 1.0);
   if (q == 0.0) return min_;
   if (q == 1.0) return max_;
-  // Rank of the target sample, 1-based (same semantics as the registry
-  // histograms): q=0 -> first sample, q=1 -> last.
+  // Rank of the target sample, 1-based: q=0 -> first sample, q=1 -> last.
   const double rank = q * static_cast<double>(count_ - 1) + 1.0;
   uint64_t cumulative = 0;
   for (int i = 0; i < kTotalBuckets; ++i) {

@@ -79,9 +79,8 @@ class QuantileSketch {
   double min() const { return count_ == 0 ? 0.0 : min_; }
   double max() const { return count_ == 0 ? 0.0 : max_; }
 
-  /// Value at quantile q in [0,1] (clamped). Same rank semantics as the
-  /// registry histograms: q=0 -> min, q=1 -> max, linear interpolation by
-  /// rank inside the winning bucket. 0 when empty.
+  /// Value at quantile q in [0,1] (clamped): q=0 -> min, q=1 -> max, linear
+  /// interpolation by rank inside the winning bucket. 0 when empty.
   double Quantile(double q) const;
 
   /// Sparse serialization: only non-zero buckets are written, so encoded

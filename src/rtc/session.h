@@ -118,7 +118,7 @@ struct SessionResult {
   core::CircuitBreaker::Stats breaker_stats;
   /// Simulation events executed by the session's loop (throughput metric).
   uint64_t events_executed = 0;
-  /// Registry snapshot: counters/gauges/histograms registered by the
+  /// Registry snapshot: counters/gauges/sketches registered by the
   /// subsystems plus session-level roll-ups (allocs/frame, wall timing).
   /// Metrics named `wall.*` are wall-clock-derived and excluded from
   /// determinism comparisons.

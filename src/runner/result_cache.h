@@ -43,7 +43,9 @@ namespace rave::runner {
 /// 2: payload gained the obs::RegistrySnapshot tail after events_executed.
 /// 3: registry distribution metrics became QuantileSketches — MetricSnapshot
 ///    carries a conditional sketch payload (kind == kSketch).
-inline constexpr uint32_t kBlobVersion = 3;
+/// 4: the fixed-bucket histogram kind was retired — MetricSnapshot no longer
+///    encodes bounds, bucket counts, sum, min or max; kind byte 2 is rejected.
+inline constexpr uint32_t kBlobVersion = 4;
 
 class ResultCache {
  public:

@@ -75,23 +75,6 @@ std::vector<double> SampleSet::Sorted() const {
   return sorted_;
 }
 
-Histogram::Histogram(double lo, double hi, size_t bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
-  assert(hi > lo && bins > 0);
-}
-
-void Histogram::Add(double x) {
-  double idx = (x - lo_) / width_;
-  int64_t i = static_cast<int64_t>(std::floor(idx));
-  i = std::clamp<int64_t>(i, 0, static_cast<int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<size_t>(i)];
-  ++total_;
-}
-
-double Histogram::bin_center(size_t i) const {
-  return lo_ + (static_cast<double>(i) + 0.5) * width_;
-}
-
 Ewma::Ewma(double alpha) : alpha_(alpha) { assert(alpha > 0.0 && alpha <= 1.0); }
 
 void Ewma::Add(double x) {

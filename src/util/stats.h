@@ -1,6 +1,6 @@
 // Streaming and batch statistics used throughout the metrics pipeline:
-// Welford running moments, exact percentiles over retained samples, a
-// fixed-bin histogram and an exponentially weighted moving average/variance.
+// Welford running moments, exact percentiles over retained samples and an
+// exponentially weighted moving average/variance.
 #pragma once
 
 #include <cstddef>
@@ -62,27 +62,6 @@ class SampleSet {
   std::vector<double> samples_;
   mutable std::vector<double> sorted_;
   mutable bool sorted_valid_ = false;
-};
-
-/// Fixed-width-bin histogram over [lo, hi); out-of-range values are clamped
-/// into the first/last bin.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t bins);
-
-  void Add(double x);
-
-  size_t bins() const { return counts_.size(); }
-  int64_t bin_count(size_t i) const { return counts_[i]; }
-  /// Center value of bin `i`.
-  double bin_center(size_t i) const;
-  int64_t total() const { return total_; }
-
- private:
-  double lo_;
-  double width_;
-  std::vector<int64_t> counts_;
-  int64_t total_ = 0;
 };
 
 /// Exponentially weighted moving average with optional variance tracking.

@@ -1,7 +1,7 @@
-// Metrics-registry unit tests: histogram bucket/percentile math, registry
-// lookup semantics (pointer stability, one-time bounds construction),
-// snapshot merging, and the serialization round trip through both the raw
-// byte codec and a full result-cache blob.
+// Metrics-registry unit tests: registry lookup semantics (pointer
+// stability, name ordering), snapshot merging, the serialization round trip
+// through both the raw byte codec and a full result-cache blob, and
+// fail-closed decoding of retired or unknown metric kinds.
 #include "obs/metrics_registry.h"
 
 #include <gtest/gtest.h>
@@ -14,74 +14,6 @@
 namespace rave::obs {
 namespace {
 
-int g_bounds_calls = 0;
-std::vector<double> CountingBounds() {
-  ++g_bounds_calls;
-  return {1.0, 2.0, 5.0};
-}
-
-TEST(HistogramTest, BucketBoundariesAreInclusiveUpperBounds) {
-  Histogram h({1.0, 2.0, 5.0});
-  h.Record(1.0);   // exactly on bound 0 -> bucket 0
-  h.Record(1.5);   // bucket 1
-  h.Record(2.0);   // exactly on bound 1 -> bucket 1
-  h.Record(5.0);   // bucket 2
-  h.Record(5.01);  // overflow
-  ASSERT_EQ(h.bucket_counts().size(), 4u);
-  EXPECT_EQ(h.bucket_counts()[0], 1u);
-  EXPECT_EQ(h.bucket_counts()[1], 2u);
-  EXPECT_EQ(h.bucket_counts()[2], 1u);
-  EXPECT_EQ(h.bucket_counts()[3], 1u);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.min(), 1.0);
-  EXPECT_DOUBLE_EQ(h.max(), 5.01);
-  EXPECT_DOUBLE_EQ(h.sum(), 1.0 + 1.5 + 2.0 + 5.0 + 5.01);
-}
-
-TEST(HistogramTest, PercentileEdgeCases) {
-  Histogram empty({1.0, 2.0});
-  EXPECT_DOUBLE_EQ(empty.Percentile(0.5), 0.0);
-
-  Histogram one({1.0, 10.0});
-  one.Record(3.0);
-  // A single sample answers every quantile with itself (clamped to max).
-  EXPECT_DOUBLE_EQ(one.Percentile(0.0), 3.0);
-  EXPECT_DOUBLE_EQ(one.Percentile(0.5), 3.0);
-  EXPECT_DOUBLE_EQ(one.Percentile(1.0), 3.0);
-
-  Histogram h({10.0, 20.0, 30.0});
-  for (double v : {5.0, 15.0, 25.0}) h.Record(v);
-  // Quantiles are clamped into [min, max] whatever the bucket bounds say.
-  EXPECT_DOUBLE_EQ(h.Percentile(0.0), 5.0);
-  EXPECT_DOUBLE_EQ(h.Percentile(1.0), 25.0);
-  const double p50 = h.Percentile(0.5);
-  EXPECT_GE(p50, 10.0);
-  EXPECT_LE(p50, 20.0);
-}
-
-TEST(HistogramTest, OverflowSamplesStayInsideMinMax) {
-  Histogram h({1.0, 2.0});
-  h.Record(100.0);
-  h.Record(200.0);
-  EXPECT_EQ(h.bucket_counts().back(), 2u);
-  EXPECT_DOUBLE_EQ(h.Percentile(1.0), 200.0);
-  EXPECT_GE(h.Percentile(0.5), 100.0);
-  EXPECT_LE(h.Percentile(0.5), 200.0);
-}
-
-TEST(HistogramTest, BoundsHelpers) {
-  const std::vector<double> exp = ExponentialBounds(1.0, 1000.0, 4);
-  ASSERT_EQ(exp.size(), 4u);
-  EXPECT_DOUBLE_EQ(exp.front(), 1.0);
-  EXPECT_DOUBLE_EQ(exp.back(), 1000.0);
-  for (size_t i = 1; i < exp.size(); ++i) EXPECT_GT(exp[i], exp[i - 1]);
-
-  const std::vector<double> lin = LinearBounds(0.0, 10.0, 5);
-  ASSERT_EQ(lin.size(), 5u);
-  EXPECT_DOUBLE_EQ(lin.front(), 2.0);
-  EXPECT_DOUBLE_EQ(lin.back(), 10.0);
-}
-
 TEST(MetricsRegistryTest, RepeatLookupsReturnTheSamePointer) {
   MetricsRegistry registry;
   Counter* c = registry.GetCounter("a.count");
@@ -92,16 +24,6 @@ TEST(MetricsRegistryTest, RepeatLookupsReturnTheSamePointer) {
   Gauge* g = registry.GetGauge("a.gauge");
   g->Set(1.5);
   EXPECT_EQ(registry.GetGauge("a.gauge"), g);
-}
-
-TEST(MetricsRegistryTest, HistogramBoundsBuiltExactlyOnce) {
-  MetricsRegistry registry;
-  g_bounds_calls = 0;
-  Histogram* h = registry.GetHistogram("a.hist", &CountingBounds);
-  EXPECT_EQ(g_bounds_calls, 1);
-  EXPECT_EQ(registry.GetHistogram("a.hist", &CountingBounds), h);
-  EXPECT_EQ(registry.GetHistogram("a.hist", &CountingBounds), h);
-  EXPECT_EQ(g_bounds_calls, 1);
 }
 
 TEST(MetricsRegistryTest, SnapshotIsSortedByName) {
@@ -134,39 +56,11 @@ TEST(RegistrySnapshotTest, MergeAddsCountersAndAveragesGauges) {
   EXPECT_EQ(merged.Find("only_b")->counter, 7u);
 }
 
-TEST(RegistrySnapshotTest, MergeAddsHistogramBucketsAndSkipsMismatches) {
-  MetricsRegistry a;
-  a.GetHistogram("h", [] { return std::vector<double>{1.0, 2.0}; })
-      ->Record(0.5);
-  MetricsRegistry b;
-  b.GetHistogram("h", [] { return std::vector<double>{1.0, 2.0}; })
-      ->Record(1.5);
-  RegistrySnapshot merged = a.Snapshot();
-  merged.Merge(b.Snapshot());
-  const MetricSnapshot* h = merged.Find("h");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count, 2u);
-  EXPECT_EQ(h->bucket_counts[0], 1u);
-  EXPECT_EQ(h->bucket_counts[1], 1u);
-  EXPECT_DOUBLE_EQ(h->min, 0.5);
-  EXPECT_DOUBLE_EQ(h->max, 1.5);
-
-  // A histogram with different bounds cannot be merged meaningfully; the
-  // original stays untouched.
-  MetricsRegistry c;
-  c.GetHistogram("h", [] { return std::vector<double>{9.0}; })->Record(1.0);
-  RegistrySnapshot kept = a.Snapshot();
-  kept.Merge(c.Snapshot());
-  EXPECT_EQ(kept.Find("h")->count, 1u);
-  EXPECT_EQ(kept.Find("h")->bounds.size(), 2u);
-}
-
 TEST(RegistrySnapshotTest, ByteCodecRoundTrips) {
   MetricsRegistry registry;
   registry.GetCounter("c")->Add(42);
   registry.GetGauge("g")->Set(-2.25);
-  Histogram* h = registry.GetHistogram(
-      "h", [] { return ExponentialBounds(1.0, 100.0, 6); });
+  QuantileSketch* h = registry.GetSketch("h");
   for (double v : {0.5, 3.0, 250.0}) h->Record(v);
   const RegistrySnapshot snap = registry.Snapshot();
 
@@ -178,6 +72,60 @@ TEST(RegistrySnapshotTest, ByteCodecRoundTrips) {
   EXPECT_TRUE(r.ok());
   EXPECT_TRUE(r.AtEnd());
   EXPECT_EQ(decoded, snap);
+  EXPECT_EQ(decoded.Find("h")->sketch.count(), 3u);
+}
+
+// Kind byte 2 is the retired fixed-bucket histogram and 4 was never
+// assigned; both must invalidate the reader instead of being parsed with
+// another kind's layout.
+constexpr uint8_t kRejectedKinds[] = {2, 4};
+
+TEST(RegistrySnapshotTest, DecodeRejectsRetiredAndUnknownKinds) {
+  MetricsRegistry registry;
+  registry.GetCounter("c")->Add(42);
+  ByteWriter w;
+  registry.Snapshot().Encode(w);
+  const std::vector<uint8_t> bytes = w.Take();
+  // Metric count (u64), then the name as length (u64) + bytes, then kind.
+  const size_t kind_pos = 8 + 8 + 1;
+  ASSERT_EQ(bytes[kind_pos], static_cast<uint8_t>(MetricKind::kCounter));
+
+  for (const uint8_t kind : kRejectedKinds) {
+    std::vector<uint8_t> patched = bytes;
+    patched[kind_pos] = kind;
+    ByteReader r(patched.data(), patched.size());
+    const RegistrySnapshot decoded = RegistrySnapshot::Decode(r);
+    EXPECT_FALSE(r.ok()) << "kind byte " << int{kind};
+    EXPECT_TRUE(decoded.metrics.empty()) << "kind byte " << int{kind};
+  }
+}
+
+TEST(RegistrySnapshotTest, ResultCacheRejectsRetiredAndUnknownKinds) {
+  rtc::SessionConfig config;
+  config.duration = TimeDelta::Seconds(3);
+  const rtc::SessionResult result = rtc::RunSession(config);
+  ASSERT_FALSE(result.metrics.metrics.empty());
+  const std::vector<uint8_t> payload =
+      runner::ResultCache::EncodeResult(result);
+
+  // The registry snapshot is the payload's tail; locate the first
+  // metric's kind byte inside it.
+  ByteWriter w;
+  result.metrics.Encode(w);
+  const size_t tail_start = payload.size() - w.bytes().size();
+  const size_t kind_pos =
+      tail_start + 8 + 8 + result.metrics.metrics.front().name.size();
+  ASSERT_LT(kind_pos, payload.size());
+  ASSERT_EQ(payload[kind_pos],
+            static_cast<uint8_t>(result.metrics.metrics.front().kind));
+
+  for (const uint8_t kind : kRejectedKinds) {
+    std::vector<uint8_t> patched = payload;
+    patched[kind_pos] = kind;
+    rtc::SessionResult out;
+    EXPECT_FALSE(runner::ResultCache::DecodeResult(patched, &out))
+        << "kind byte " << int{kind};
+  }
 }
 
 TEST(RegistrySnapshotTest, SurvivesAResultCacheBlobRoundTrip) {

@@ -80,21 +80,6 @@ TEST(SampleSetTest, AddAfterQuantileInvalidatesCache) {
   EXPECT_DOUBLE_EQ(s.Median(), 3.0);
 }
 
-TEST(HistogramTest, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(0.5);   // bin 0
-  h.Add(9.99);  // bin 9
-  h.Add(-5.0);  // clamped to bin 0
-  h.Add(50.0);  // clamped to bin 9
-  h.Add(5.0);   // bin 5
-  EXPECT_EQ(h.total(), 5);
-  EXPECT_EQ(h.bin_count(0), 2);
-  EXPECT_EQ(h.bin_count(9), 2);
-  EXPECT_EQ(h.bin_count(5), 1);
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 0.5);
-  EXPECT_DOUBLE_EQ(h.bin_center(9), 9.5);
-}
-
 TEST(EwmaTest, FirstSampleInitializes) {
   Ewma e(0.5);
   EXPECT_FALSE(e.initialized());
