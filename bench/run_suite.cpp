@@ -494,6 +494,7 @@ int main(int argc, char** argv) {
        << ", \"disk_hits\": " << total.disk_hits
        << ", \"stores\": " << total.stores
        << ", \"corrupt\": " << total.corrupt
+       << ", \"stale\": " << total.stale
        << ", \"evictions\": " << total.evictions
        << ", \"saved_ms\": " << Num(total_saved_ms)
        << ", \"estimated_speedup\": " << Num(est_speedup) << "},\n";

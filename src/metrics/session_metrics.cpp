@@ -93,6 +93,8 @@ SessionSummary SessionMetrics::Summarize(TimeDelta duration) const {
 
   SampleSet latencies;
   SampleSet render_latencies;
+  latencies.Reserve(frames_.size());
+  render_latencies.Reserve(frames_.size());
   int64_t late_renders = 0;
   RunningStats ssim;
   RunningStats psnr;

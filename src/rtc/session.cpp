@@ -55,7 +55,7 @@ Session::Session(SessionConfig config)
                           config_.timeseries_interval.seconds()) +
       4;
   metrics_.Reserve(expected_frames, expected_points);
-  media_to_frame_.reserve(expected_frames * 4);  // a few packets per frame
+  frame_seqs_.Reserve(expected_frames);
   packet_scratch_.reserve(64);
   // --- bandwidth estimator ---
   if (config_.scheme == Scheme::kAdaptiveOracle) {
@@ -262,11 +262,10 @@ void Session::OnFrameTick() {
   }
 
   packetizer_.Packetize(encoded, packet_scratch_);
-  for (const net::Packet& p : packet_scratch_) {
-    if (static_cast<size_t>(p.media_seq) >= media_to_frame_.size()) {
-      media_to_frame_.resize(static_cast<size_t>(p.media_seq) + 1, -1);
-    }
-    media_to_frame_[static_cast<size_t>(p.media_seq)] = p.frame_id;
+  if (!packet_scratch_.empty()) {
+    frame_seqs_.Append(packet_scratch_.front().media_seq,
+                       static_cast<int64_t>(packet_scratch_.size()),
+                       encoded.frame_id);
   }
   pacer_->Enqueue(packet_scratch_);
 }
@@ -348,11 +347,7 @@ void Session::OnNackAtSender(const transport::NackBatch& batch) {
 }
 
 void Session::OnNackGiveUp(int64_t media_seq) {
-  if (media_seq < 0 ||
-      static_cast<size_t>(media_seq) >= media_to_frame_.size()) {
-    return;
-  }
-  const int64_t frame_id = media_to_frame_[static_cast<size_t>(media_seq)];
+  const int64_t frame_id = frame_seqs_.FrameOf(media_seq);
   if (frame_id < 0) return;
   assembler_->AbandonFrame(frame_id);
 }

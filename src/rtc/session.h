@@ -204,9 +204,8 @@ class Session {
   /// (send time, bits) of recent retransmissions for RtxRate().
   mutable RingDeque<std::pair<Timestamp, int64_t>> rtx_sent_;
   /// Sender-side media-seq -> frame-id map (simulation bookkeeping for the
-  /// NACK give-up path). Media seqs are dense from 0, so this is a flat
-  /// vector indexed by seq (-1 = unknown).
-  std::vector<int64_t> media_to_frame_;
+  /// NACK give-up path), one entry per packetized frame.
+  transport::FrameSeqTable frame_seqs_;
   /// Reused packetizer output; capacity persists across frames so the
   /// per-frame packetize -> enqueue path is allocation-free in steady state.
   std::vector<net::Packet> packet_scratch_;

@@ -214,8 +214,16 @@ ResultCache::EntryPtr ResultCache::LoadBlob(const SessionKey& key) {
   char magic[4] = {};
   for (char& c : magic) c = static_cast<char>(r.U8());
   if (!r.ok() || std::memcmp(magic, kMagic, 4) != 0) return reject();
-  if (r.U32() != kBlobVersion) return reject();
-  if (r.U64() != kSimFingerprint) return reject();
+  // A blob from another blob layout or simulator semantics is intact but
+  // stale: counted apart from damage, then recomputed and overwritten.
+  const uint32_t version = r.U32();
+  const uint64_t fingerprint = r.U64();
+  if (!r.ok()) return reject();
+  if (version != kBlobVersion || fingerprint != kSimFingerprint) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.stale;
+    return nullptr;
+  }
   // The key is already the filename; the echo catches renamed files.
   if (r.U64() != key.hi || r.U64() != key.lo) return reject();
   const uint64_t compute_us = r.U64();

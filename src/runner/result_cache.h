@@ -39,7 +39,7 @@ namespace rave::runner {
 
 /// On-disk blob layout version. BUMP whenever EncodeResult's payload layout
 /// (or the header around it) changes, so older blobs are rejected as
-/// corrupt and recomputed instead of misparsed.
+/// stale and recomputed instead of misparsed.
 /// 2: payload gained the obs::RegistrySnapshot tail after events_executed.
 /// 3: registry distribution metrics became QuantileSketches — MetricSnapshot
 ///    carries a conditional sketch payload (kind == kSketch).
@@ -67,9 +67,13 @@ class ResultCache {
     uint64_t computes = 0;
     /// Blobs written to disk.
     uint64_t stores = 0;
-    /// Disk entries rejected (bad magic/version/fingerprint/checksum/decode,
-    /// not a regular file, unreadable, or larger than max_disk_bytes).
+    /// Disk entries rejected as damaged (bad magic/checksum/decode, key
+    /// echo mismatch, truncated, not a regular file, unreadable, or larger
+    /// than max_disk_bytes).
     uint64_t corrupt = 0;
+    /// Intact disk entries written under another kBlobVersion or
+    /// kSimFingerprint (expected after a version bump); recomputed.
+    uint64_t stale = 0;
     /// Blobs removed by the size-cap sweep.
     uint64_t evictions = 0;
     /// Simulation time skipped thanks to hits (from the blobs' recorded

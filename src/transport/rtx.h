@@ -7,10 +7,13 @@
 //     bounded number of attempts (at which point the frame is unrecoverable
 //     and the loss surfaces to the assembler/PLI path).
 //
-// Both exploit the monotone media sequence space for flat storage: the cache
+//   * `FrameSeqTable` (sender) maps a given-up media seq back to its frame.
+//
+// All exploit the monotone media sequence space for flat storage: the cache
 // is a ring indexed by (media_seq - front seq), the missing set a sorted
-// flat vector — no node-based containers, no per-packet allocation once the
-// rings reach steady-state capacity.
+// flat vector, the frame table one sorted entry per frame — no node-based
+// containers, no per-packet allocation once the rings reach steady-state
+// capacity.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +25,7 @@
 #include "util/inline_function.h"
 #include "util/ring_deque.h"
 #include "util/time.h"
+#include "util/units.h"
 
 namespace rave::transport {
 
@@ -29,6 +33,11 @@ namespace rave::transport {
 /// Media sequence numbers are assigned monotonically and first transmissions
 /// leave the pacer in order, so the cache is a contiguous ring: insert
 /// appends at the back, prune pops from the front, lookup is an array index.
+///
+/// Only what differs between the packets of one frame is stored per packet
+/// (24 B); the frame metadata they share lives once in a second ring, so a
+/// 25-packet frame costs 25 small records plus one frame record instead of
+/// 25 full packet copies.
 class RtxCache {
  public:
   /// Packets older than `window` are pruned.
@@ -43,14 +52,41 @@ class RtxCache {
   std::optional<net::Packet> Lookup(int64_t media_seq, Timestamp now);
 
   size_t size() const { return valid_count_; }
+  /// Frame records held (at most one per cached frame).
+  size_t frame_records() const { return frames_.size(); }
 
  private:
-  struct Entry {
-    net::Packet packet;
-    Timestamp sent = Timestamp::MinusInfinity();
-    bool valid = false;
+  /// Metadata shared by every packet of a frame.
+  struct FrameRecord {
+    int64_t frame_id = -1;
+    Timestamp capture_time = Timestamp::MinusInfinity();
+    /// Highest media seq that refers to this record; once the packet ring
+    /// has pruned past it, no entry can refer to it any more.
+    int64_t last_seq = -1;
+    int packets_in_frame = 1;
+    bool keyframe = false;
+    bool is_fec = false;
   };
 
+  /// `frame` value of a gap placeholder.
+  static constexpr uint32_t kNoFrame = UINT32_MAX;
+
+  /// Per-packet record.
+  struct Entry {
+    Timestamp sent = Timestamp::MinusInfinity();
+    DataSize size = DataSize::Zero();
+    int32_t packet_index = 0;
+    /// Frame record number (`frame_base_` is the front of `frames_`), or
+    /// kNoFrame for a gap placeholder.
+    uint32_t frame = kNoFrame;
+
+    bool valid() const { return frame != kNoFrame; }
+  };
+  static_assert(sizeof(Entry) <= 24, "RtxCache::Entry grew past 24 bytes");
+
+  /// Record number of `packet`'s frame metadata, appending a frame record
+  /// unless it matches the newest one.
+  uint32_t FrameFor(const net::Packet& packet);
   void Prune(Timestamp now);
 
   TimeDelta window_;
@@ -58,6 +94,41 @@ class RtxCache {
   RingDeque<Entry> ring_;
   int64_t base_seq_ = 0;
   size_t valid_count_ = 0;
+  /// Frame record number `frame_base_ + i` is `frames_[i]`. Numbers count
+  /// from 0, so they reach kNoFrame only after 2^32 - 1 frame records
+  /// (over two years of 60 fps video in one cache).
+  RingDeque<FrameRecord> frames_;
+  uint32_t frame_base_ = 0;
+};
+
+/// Sender-side media seq -> frame id map for the NACK give-up path. Each
+/// frame's packets take consecutive media seqs and frames follow each other
+/// without gaps, so one (first media seq, frame id) entry per packetized
+/// frame covers every packet: 16 B per frame instead of 8 B per packet.
+class FrameSeqTable {
+ public:
+  void Reserve(size_t frames) { starts_.reserve(frames); }
+
+  /// Records a packetized frame of `packet_count` > 0 packets whose first
+  /// media seq is `first_media_seq`, the seq right after the previous
+  /// frame's last.
+  void Append(int64_t first_media_seq, int64_t packet_count,
+              int64_t frame_id);
+
+  /// Frame id of the packet with `media_seq`; -1 when no recorded frame
+  /// holds it (negative, or at or above the next unassigned seq).
+  int64_t FrameOf(int64_t media_seq) const;
+
+ private:
+  struct Start {
+    int64_t first_media_seq;
+    int64_t frame_id;
+  };
+
+  /// Sorted by first_media_seq.
+  std::vector<Start> starts_;
+  /// One past the last recorded frame's last media seq.
+  int64_t end_seq_ = 0;
 };
 
 /// One NACK message: media sequence numbers the receiver is missing.

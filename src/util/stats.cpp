@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <numeric>
 
 namespace rave {
@@ -32,7 +33,7 @@ double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 void SampleSet::Add(double x) {
   samples_.push_back(x);
-  sorted_valid_ = false;
+  order_valid_ = false;
 }
 
 double SampleSet::mean() const {
@@ -51,28 +52,34 @@ double SampleSet::max() const {
   return *std::max_element(samples_.begin(), samples_.end());
 }
 
-void SampleSet::EnsureSorted() const {
-  if (!sorted_valid_) {
-    sorted_ = samples_;
-    std::sort(sorted_.begin(), sorted_.end());
-    sorted_valid_ = true;
-  }
-}
-
 double SampleSet::Quantile(double q) const {
   if (samples_.empty()) return 0.0;
-  EnsureSorted();
+  if (!order_valid_) {
+    order_ = samples_;
+    order_valid_ = true;
+  }
   q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(sorted_.size() - 1);
+  const double pos = q * static_cast<double>(order_.size() - 1);
   const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, sorted_.size() - 1);
+  const size_t hi = std::min(lo + 1, order_.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
+  // The two order statistics a full sort would put at `lo` and `hi`: after
+  // nth_element the element at `lo` is in its sorted place and everything
+  // above it is no smaller, so the next one is the upper partition's
+  // minimum. Later calls re-partition the same multiset, so `order_` is
+  // re-copied from the samples only after an Add.
+  const auto nth = order_.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(order_.begin(), nth, order_.end());
+  const double lo_value = *nth;
+  const double hi_value =
+      hi == lo ? lo_value : *std::min_element(nth + 1, order_.end());
+  return lo_value * (1.0 - frac) + hi_value * frac;
 }
 
 std::vector<double> SampleSet::Sorted() const {
-  EnsureSorted();
-  return sorted_;
+  std::vector<double> sorted = samples_;
+  std::sort(sorted.begin(), sorted.end());
+  return sorted;
 }
 
 Ewma::Ewma(double alpha) : alpha_(alpha) { assert(alpha > 0.0 && alpha <= 1.0); }

@@ -48,7 +48,8 @@ class SampleSet {
   double min() const;
   double max() const;
   /// Exact quantile by linear interpolation between order statistics.
-  /// `q` in [0,1]; returns 0 when empty.
+  /// `q` in [0,1]; returns 0 when empty. Selects the two order statistics
+  /// in linear time instead of sorting.
   double Quantile(double q) const;
   double Median() const { return Quantile(0.5); }
 
@@ -57,11 +58,10 @@ class SampleSet {
   const std::vector<double>& raw() const { return samples_; }
 
  private:
-  void EnsureSorted() const;
-
   std::vector<double> samples_;
-  mutable std::vector<double> sorted_;
-  mutable bool sorted_valid_ = false;
+  /// The samples in the partial order left by the last Quantile() call.
+  mutable std::vector<double> order_;
+  mutable bool order_valid_ = false;
 };
 
 /// Exponentially weighted moving average with optional variance tracking.

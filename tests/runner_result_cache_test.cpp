@@ -231,6 +231,63 @@ TEST(ResultCacheTest, CorruptedBlobsAreMissesNotCrashes) {
   fs::remove_all(dir);
 }
 
+// A blob written under another kBlobVersion or kSimFingerprint is intact but
+// stale: it is recomputed and overwritten like a corrupt one, but counted in
+// `stale`, so a version migration does not read as disk damage.
+void ExpectStaleBlobRecomputed(const char* dir_name, size_t field_offset,
+                               size_t field_size, uint64_t stale_value) {
+  const std::string dir = FreshDir(dir_name);
+  const auto config = SmallConfig();
+  const runner::SessionKey key = runner::ComputeSessionKey(config);
+  auto compute = [&] { return rtc::RunSession(config); };
+
+  rtc::SessionResult reference;
+  {
+    runner::ResultCache cache({dir});
+    reference = cache.GetOrCompute(key, compute);
+  }
+  const std::string blob = dir + "/" + key.ToHex() + ".rrc";
+  std::vector<char> bytes;
+  {
+    std::ifstream in(blob, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(bytes.size(), field_offset + field_size);
+  // Header fields are little-endian.
+  for (size_t i = 0; i < field_size; ++i) {
+    bytes[field_offset + i] = static_cast<char>(stale_value >> (8 * i));
+  }
+  {
+    std::ofstream out(blob, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  {
+    runner::ResultCache cache({dir});
+    ExpectBitIdentical(reference, cache.GetOrCompute(key, compute));
+    EXPECT_EQ(cache.stats().stale, 1u);
+    EXPECT_EQ(cache.stats().corrupt, 0u);
+    EXPECT_EQ(cache.stats().computes, 1u);
+    EXPECT_EQ(cache.stats().stores, 1u);  // blob healed
+  }
+  runner::ResultCache cache({dir});
+  cache.GetOrCompute(key, compute);
+  EXPECT_EQ(cache.stats().disk_hits, 1u);
+  EXPECT_EQ(cache.stats().stale, 0u);
+  fs::remove_all(dir);
+}
+
+TEST(ResultCacheTest, OlderBlobVersionIsStaleNotCorrupt) {
+  // Layout: magic (4 B), version (u32 at 4), fingerprint (u64 at 8).
+  ExpectStaleBlobRecomputed("stale_version", 4, 4, runner::kBlobVersion - 1);
+}
+
+TEST(ResultCacheTest, OtherSimFingerprintIsStaleNotCorrupt) {
+  ExpectStaleBlobRecomputed("stale_fingerprint", 8, 8,
+                            runner::kSimFingerprint - 1);
+}
+
 // Something other than a regular file at the blob path is a counted miss:
 // no throw, no hang, no allocation sized from a bogus length.
 TEST(ResultCacheTest, NonRegularFileAtBlobPathIsAMiss) {

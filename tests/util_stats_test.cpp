@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
+
+#include "util/rng.h"
 
 namespace rave {
 namespace {
@@ -78,6 +82,29 @@ TEST(SampleSetTest, AddAfterQuantileInvalidatesCache) {
   EXPECT_DOUBLE_EQ(s.Median(), 2.0);
   s.Add(100.0);
   EXPECT_DOUBLE_EQ(s.Median(), 3.0);
+}
+
+TEST(SampleSetTest, QuantileMatchesFullSortBitExactly) {
+  // The selection-based Quantile must return exactly what interpolating a
+  // fully sorted copy returns, for any query order and with ties.
+  for (const size_t n : {1u, 2u, 3u, 17u, 1000u}) {
+    SampleSet s;
+    Rng rng(n);
+    for (size_t i = 0; i < n; ++i) {
+      // Coarse values so ties are common.
+      s.Add(std::floor(rng.Uniform(0.0, 50.0)) * 0.25);
+    }
+    std::vector<double> sorted = s.raw();
+    std::sort(sorted.begin(), sorted.end());
+    for (const double q : {0.99, 0.0, 0.5, 0.95, 1.0, 0.25, 0.5, 0.999}) {
+      const double pos = q * static_cast<double>(n - 1);
+      const size_t lo = static_cast<size_t>(pos);
+      const size_t hi = std::min(lo + 1, n - 1);
+      const double frac = pos - static_cast<double>(lo);
+      const double expected = sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+      EXPECT_EQ(s.Quantile(q), expected) << "n " << n << " q " << q;
+    }
+  }
 }
 
 TEST(EwmaTest, FirstSampleInitializes) {
