@@ -23,10 +23,6 @@ std::unique_ptr<runner::ResultCache> owned_cache;
 /// calling thread only, so no locking is needed.
 obs::RegistrySnapshot g_suite_metrics;
 
-/// Per-bench aggregate (see BenchMetrics): run_suite resets it before each
-/// entry point so history records carry per-bench quality metrics.
-obs::RegistrySnapshot g_bench_metrics;
-
 }  // namespace
 
 runner::ResultCache* SuiteCache() { return g_suite_cache; }
@@ -90,7 +86,6 @@ std::vector<rtc::SessionResult> RunMatrix(
   // suite-wide merge is deterministic too.
   for (const rtc::SessionResult& result : results) {
     g_suite_metrics.Merge(result.metrics);
-    g_bench_metrics.Merge(result.metrics);
   }
   return results;
 }
@@ -99,9 +94,7 @@ const obs::RegistrySnapshot& SuiteMetrics() { return g_suite_metrics; }
 
 void ResetSuiteMetrics() { g_suite_metrics = obs::RegistrySnapshot{}; }
 
-const obs::RegistrySnapshot& BenchMetrics() { return g_bench_metrics; }
-
-void ResetBenchMetrics() { g_bench_metrics = obs::RegistrySnapshot{}; }
+void ResetBenchMetrics() {}
 
 const obs::QuantileSketch* LatencySketch(const rtc::SessionResult& result) {
   const obs::MetricSnapshot* m = result.metrics.Find("frame.latency_ms");

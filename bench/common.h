@@ -75,10 +75,9 @@ std::vector<rtc::SessionResult> RunMatrix(
 const obs::RegistrySnapshot& SuiteMetrics();
 void ResetSuiteMetrics();
 
-/// Like SuiteMetrics but scoped to one bench: run_suite resets this before
-/// invoking each entry point and harvests it after, so the history ledger
-/// records per-bench quality metrics. Standalone binaries can ignore it.
-const obs::RegistrySnapshot& BenchMetrics();
+/// Does nothing. Its last caller is `RunHarnesses` in benchmark/driver.cpp,
+/// which calls it before each suite pass; delete it together with that
+/// call.
 void ResetBenchMetrics();
 
 /// The session's merged per-frame latency sketch (`frame.latency_ms` in

@@ -23,17 +23,14 @@
 //                obs::RuntimeStats plus cache hit rates; excluded from
 //                determinism comparisons by construction.
 //
-// The regression sentinel rides on top: `--history=FILE` appends one JSONL
-// record per run (git rev, fingerprint, per-bench quality metrics,
-// quarantined runtime stats); `--baseline=FILE` diffs the current run
-// against the last compatible record and exits non-zero on a quality
-// regression (wall-clock drift alone never gates). `--progress` emits a
-// stderr-only heartbeat while the suite runs.
+// At default durations the BENCH_<name>.out captures and the "metrics" and
+// "sketches" sections are pinned to committed goldens (tests/golden/, gated
+// by the suite_golden ctest). `--progress` emits a stderr-only heartbeat
+// while the suite runs.
 //
 // Usage:
 //   run_suite [--jobs=N] [--duration=SECONDS] [--cache-dir=DIR]
 //             [--out-dir=DIR] [--only=fig1_timeline,tab5_schemes,...]
-//             [--history=FILE] [--baseline=FILE] [--wall-band=FACTOR]
 //             [--progress] [--log-level=LEVEL] [--list] [--version]
 #include <chrono>
 #include <condition_variable>
@@ -49,12 +46,10 @@
 #include <vector>
 
 #include "common.h"
-#include "history.h"
 #include "obs/metrics_registry.h"
 #include "obs/sketch.h"
 #include "registry.h"
 #include "runner/result_cache.h"
-#include "runner/session_key.h"
 #include "runner/version.h"
 #include "util/byteio.h"
 #include "util/flags.h"
@@ -254,23 +249,18 @@ int main(int argc, char** argv) {
 
   int jobs = 0;
   double duration_s = 0.0;
-  double wall_band = 1.5;
   bool progress = false;
   std::string cache_dir;
   std::string out_dir = ".";
   std::string benches_csv;
-  std::string history_path;
-  std::string baseline_path;
   try {
     const Flags flags(argc - 1, argv + 1);
     for (const std::string& key : flags.UnknownKeys(
-             {"jobs", "duration", "cache-dir", "out-dir", "benches",
-              "only", "log-level", "list", "version", "history", "baseline",
-              "wall-band", "progress"})) {
+             {"jobs", "duration", "cache-dir", "out-dir", "only",
+              "log-level", "list", "version", "progress"})) {
       std::cerr << "error: unknown flag --" << key << "\nusage: " << argv[0]
                 << " [--jobs=N] [--duration=SECONDS]"
                    " [--cache-dir=DIR] [--out-dir=DIR] [--only=name,name,...]"
-                   " [--history=FILE] [--baseline=FILE] [--wall-band=FACTOR]"
                    " [--progress] [--log-level=LEVEL] [--list] [--version]\n";
       return 2;
     }
@@ -284,14 +274,10 @@ int main(int argc, char** argv) {
     }
     jobs = static_cast<int>(flags.GetInt("jobs", 0, 0, 1 << 16));
     duration_s = flags.GetDouble("duration", 0.0);
-    wall_band = flags.GetDouble("wall-band", 1.5);
     progress = flags.GetBool("progress", false);
     cache_dir = flags.GetString("cache-dir", "");
     out_dir = flags.GetString("out-dir", ".");
-    history_path = flags.GetString("history", "");
-    baseline_path = flags.GetString("baseline", "");
-    // --only is the documented spelling; --benches kept as an alias.
-    benches_csv = flags.GetString("only", flags.GetString("benches", ""));
+    benches_csv = flags.GetString("only", "");
     const std::string log_level = flags.GetString("log-level", "");
     if (!log_level.empty() && !rave::SetLogLevelFromString(log_level)) {
       std::cerr << "error: bad --log-level '" << log_level
@@ -306,7 +292,7 @@ int main(int argc, char** argv) {
     if (auto env = runner::ResultCache::DirFromEnv()) cache_dir = *env;
   }
 
-  // Select benches (all, or the --benches subset in the given order).
+  // Select benches (all, or the --only subset in the given order).
   std::vector<bench::BenchEntry> selected;
   if (benches_csv.empty()) {
     selected = bench::AllBenches();
@@ -330,26 +316,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The git revision must resolve from the launch directory — after the
-  // chdir below, .git/HEAD may no longer be reachable upward from cwd.
-  const std::string git_rev = bench::GitRevOrUnknown(".");
-
   std::error_code ec;
   std::filesystem::create_directories(out_dir, ec);
   // Benches write their own artifacts (CSVs, fig11 trace captures) relative
   // to the working directory; move into --out-dir so everything lands next
   // to the BENCH_*.out captures and concurrent suites with distinct out-dirs
-  // never collide on a filename. The cache dir (and the history/baseline
-  // ledger paths) must be resolved first or they would silently re-anchor
-  // under out_dir.
+  // never collide on a filename. The cache dir must be resolved first or it
+  // would silently re-anchor under out_dir.
   if (!cache_dir.empty()) {
     cache_dir = std::filesystem::absolute(cache_dir, ec).string();
-  }
-  if (!history_path.empty()) {
-    history_path = std::filesystem::absolute(history_path, ec).string();
-  }
-  if (!baseline_path.empty()) {
-    baseline_path = std::filesystem::absolute(baseline_path, ec).string();
   }
   std::filesystem::current_path(out_dir, ec);
   if (ec) {
@@ -380,16 +355,6 @@ int main(int argc, char** argv) {
     bench_args.push_back(d.str());
   }
 
-  // The sentinel's history record, filled in as benches run.
-  bench::HistoryRecord record;
-  record.git_rev = git_rev;
-  record.fingerprint = runner::kSimFingerprint;
-  record.blob_version = runner::kBlobVersion;
-  record.options = runner::BuildOptionsString();
-  record.jobs = jobs;
-  record.duration_s = duration_s;
-  record.only = benches_csv;
-
   std::vector<BenchReport> reports;
   reports.reserve(selected.size());
   const Clock::time_point suite_start = Clock::now();
@@ -410,7 +375,6 @@ int main(int argc, char** argv) {
     for (std::string& a : args) argv_ptrs.push_back(a.data());
 
     const runner::ResultCache::Stats before = cache.stats();
-    bench::ResetBenchMetrics();
 
     // Capture the bench's stdout; benches print their figures/tables there.
     std::ostringstream captured;
@@ -436,16 +400,6 @@ int main(int argc, char** argv) {
         static_cast<double>(after.saved_compute_us - before.saved_compute_us) /
         1000.0;
     if (report.exit_code != 0) suite_exit = 1;
-
-    // Per-bench sentinel entry: deterministic quality metrics only (wall.*
-    // and alloc.* are filtered inside QualityPairs); wall clock rides along
-    // as a quarantined, noise-banded field.
-    bench::HistoryBench hb;
-    hb.name = entry.name;
-    hb.exit_code = report.exit_code;
-    hb.wall_ms = report.wall_ms;
-    hb.quality = bench::QualityPairs(bench::BenchMetrics());
-    record.benches.push_back(std::move(hb));
 
     // Tee: the bench's normal output still reaches the console, and a
     // byte-identical copy lands next to the suite report for diffing.
@@ -531,49 +485,6 @@ int main(int argc, char** argv) {
             << total.computes << " simulated, "
             << total.memory_hits + total.disk_hits << " cache hits, est. "
             << Num(est_speedup) << "x vs uncached\n";
-
-  // Quarantined runtime stats on the sentinel record.
-  record.wall_ms = suite_wall_ms;
-  record.sessions_per_s =
-      suite_wall_ms > 0.0
-          ? static_cast<double>(total.computes) / (suite_wall_ms / 1000.0)
-          : 0.0;
-  record.cache_hit_rate = hit_rate;
-
-  // --baseline: diff this run against the last compatible ledger record.
-  // Quality drift gates (non-zero exit); wall-clock drift only warns.
-  if (!baseline_path.empty()) {
-    const std::vector<bench::HistoryRecord> ledger =
-        bench::LoadHistory(baseline_path);
-    const bench::HistoryRecord* baseline = nullptr;
-    const std::string key = bench::CompatKey(record);
-    for (const bench::HistoryRecord& r : ledger) {
-      if (bench::CompatKey(r) == key) baseline = &r;
-    }
-    if (baseline == nullptr) {
-      std::cerr << "[sentinel] no compatible baseline in " << baseline_path
-                << " (need fingerprint/blob/options/duration/selection match;"
-                   " " << ledger.size() << " records scanned) — not gating\n";
-    } else {
-      std::cout << '\n';
-      if (bench::CompareRecords(*baseline, record, wall_band, std::cout)) {
-        suite_exit = 1;
-      }
-    }
-  }
-
-  // --history: append this run to the ledger (after the baseline diff, so a
-  // run never compares against itself).
-  if (!history_path.empty()) {
-    if (!bench::AppendHistory(history_path, record)) {
-      std::cerr << "error: cannot append history record to " << history_path
-                << '\n';
-      if (suite_exit == 0) suite_exit = 1;
-    } else {
-      std::cerr << "[sentinel] history record appended to " << history_path
-                << '\n';
-    }
-  }
 
   bench::SetSuiteCache(nullptr);
   return suite_exit;

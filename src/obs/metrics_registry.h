@@ -14,9 +14,9 @@
 // Distribution metrics are QuantileSketches (obs/sketch.h): fixed-layout
 // log-bucket histograms with exact count/min/max and a fixed-point sum,
 // whose merge is commutative/associative and bit-identical under any shard
-// order — the property the suite-wide "sketches" aggregation and the
-// cross-run regression sentinel rely on. The sketch is the registry's only
-// distribution type.
+// order — the property the suite-wide "sketches" aggregation and its
+// committed golden (tests/golden/suite_sections.txt) rely on. The sketch is
+// the registry's only distribution type.
 #pragma once
 
 #include <cstdint>

@@ -1,11 +1,10 @@
-// Build/behaviour identity for tools and the history ledger.
+// Build/behaviour identity for tools.
 //
-// `--version` in rave_cli and run_suite prints this; the regression
-// sentinel stores the same string in every history record so a baseline
-// from a different simulator fingerprint, blob layout, or compiled option
-// set is recognized as incompatible instead of mis-diffed. Debugging a
-// "why is my cache cold" report starts here too: fingerprint and blob
-// version are the two salts that invalidate cached results.
+// `--version` in rave_cli and run_suite prints this, so an output can be
+// tied back to the simulator fingerprint, blob layout, and compiled option
+// set that produced it. Debugging a "why is my cache cold" report starts
+// here too: fingerprint and blob version are the two salts that invalidate
+// cached results.
 #pragma once
 
 #include <string>

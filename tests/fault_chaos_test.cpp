@@ -35,12 +35,13 @@ struct FaultScenario {
 std::vector<FaultScenario> Scenarios() {
   std::vector<FaultScenario> scenarios;
   {
-    FaultScenario s{.name = "outage", .starves_feedback = true};
+    FaultScenario s{.name = "outage", .plan = {}, .starves_feedback = true};
     s.plan.Outage(Timestamp::Seconds(10), TimeDelta::Seconds(2));
     scenarios.push_back(std::move(s));
   }
   {
     FaultScenario s{.name = "outage_long",
+                    .plan = {},
                     .starves_feedback = true,
                     .reaches_pause = true};
     s.plan.Outage(Timestamp::Seconds(10), TimeDelta::Seconds(4));
@@ -50,6 +51,7 @@ std::vector<FaultScenario> Scenarios() {
     // 3 s of lost feedback collapses every estimator to the starved send
     // rate; the slow rebuild is additive once inside the capacity band.
     FaultScenario s{.name = "blackhole",
+                    .plan = {},
                     .starves_feedback = true,
                     .recovery_bound = TimeDelta::Seconds(34)};
     s.plan.FeedbackBlackhole(Timestamp::Seconds(10), TimeDelta::Seconds(3));
@@ -59,13 +61,14 @@ std::vector<FaultScenario> Scenarios() {
     // A sustained +150 ms RTT spike reads as 2 s of over-use: the
     // delay-sensitive schemes multiplicatively back off the whole window.
     FaultScenario s{.name = "spike",
+                    .plan = {},
                     .recovery_bound = TimeDelta::Seconds(46)};
     s.plan.DelaySpike(Timestamp::Seconds(10), TimeDelta::Seconds(2),
                       TimeDelta::Millis(150));
     scenarios.push_back(std::move(s));
   }
   {
-    FaultScenario s{.name = "dup_reorder"};
+    FaultScenario s{.name = "dup_reorder", .plan = {}};
     s.plan.DuplicationBurst(Timestamp::Seconds(10), TimeDelta::Seconds(5), 0.2)
         .ReorderBurst(Timestamp::Seconds(10), TimeDelta::Seconds(5), 0.2,
                       TimeDelta::Millis(40));

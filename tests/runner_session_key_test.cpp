@@ -213,9 +213,9 @@ TEST(SessionKeyTest, StdHashFoldsBothHalves) {
   EXPECT_NE(h({0, 1}), h({0, 2}));
 }
 
-// The option string is the history ledger's compatibility key next to the
-// fingerprint: a field added or dropped here makes every earlier ledger
-// record incompatible, so the exact field set is pinned.
+// The option string is the `--version` stamp that ties an output to the
+// build that produced it, next to the fingerprint and blob version, so the
+// exact field set is pinned.
 TEST(VersionTest, BuildOptionsStringPrintsExactFieldSet) {
   std::istringstream fields(runner::BuildOptionsString());
   std::vector<std::string> keys;
