@@ -78,14 +78,14 @@ BenchOptions ParseBenchOptions(int argc, char** argv) {
   }
 }
 
-std::vector<rtc::SessionResult> RunMatrix(
+std::vector<rtc::SharedSessionResult> RunMatrix(
     const std::vector<rtc::SessionConfig>& configs, int jobs) {
-  std::vector<rtc::SessionResult> results =
+  std::vector<rtc::SharedSessionResult> results =
       runner::RunSessions(configs, jobs, SuiteCache());
   // Results arrive in submission order whatever the job count, so the
   // suite-wide merge is deterministic too.
-  for (const rtc::SessionResult& result : results) {
-    g_suite_metrics.Merge(result.metrics);
+  for (const rtc::SharedSessionResult& result : results) {
+    g_suite_metrics.Merge(result->metrics);
   }
   return results;
 }

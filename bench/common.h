@@ -62,9 +62,10 @@ void SetSuiteCache(runner::ResultCache* cache);
 
 /// Runs every config (in parallel when jobs != 1) and returns results in
 /// submission order — byte-identical output to a serial run regardless of
-/// the job count or cache state. Consults SuiteCache() when installed, and
-/// merges each result's metrics snapshot into SuiteMetrics().
-std::vector<rtc::SessionResult> RunMatrix(
+/// the job count or cache state. Consults SuiteCache() when installed (the
+/// results then share the cache's entries), and merges each result's
+/// metrics snapshot into SuiteMetrics().
+std::vector<rtc::SharedSessionResult> RunMatrix(
     const std::vector<rtc::SessionConfig>& configs, int jobs);
 
 /// Process-wide merge of the per-session metric registries of every session

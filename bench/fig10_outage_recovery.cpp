@@ -92,7 +92,7 @@ int bench::Fig10OutageRecoveryMain(int argc, char** argv) {
   for (rtc::Scheme scheme : rtc::kAllSchemes) {
     (void)scheme;
     for (const Scenario& scenario : scenarios) {
-      const rtc::SessionResult& result = results[i++];
+      const rtc::SessionResult& result = *results[i++];
       const Timestamp clear = scenario.plan.LastClearTime();
 
       // Pre-fault reference: mean encoder target over the 2 s before the

@@ -62,7 +62,7 @@ int bench::Fig12HandoverRecoveryMain(int argc, char** argv) {
   for (rtc::Scheme scheme : rtc::kAllSchemes) {
     (void)scheme;
     for (const fault::WirelessProfile& profile : wireless) {
-      const rtc::SessionResult& result = results[index++];
+      const rtc::SessionResult& result = *results[index++];
 
       // Link-change events inside the session, in start order (plans are
       // built in order; handover/reneg kinds never interleave in the

@@ -29,9 +29,11 @@ int bench::Fig1TimelineMain(int argc, char** argv) {
   }
   const auto run = bench::RunMatrix(configs, options.jobs);
 
-  std::map<std::string, rtc::SessionResult> results;
-  for (const rtc::SessionResult& result : run) {
-    results.emplace(result.scheme_name, result);
+  // Indexed by scheme name; the results themselves stay where RunMatrix
+  // (and the suite cache) hold them.
+  std::map<std::string, const rtc::SessionResult*> results;
+  for (const auto& result : run) {
+    results.emplace(result->scheme_name, result.get());
   }
 
   std::cout << "Fig 1: timeline across a 2.5->1.0 Mbps drop at t=10s "
@@ -40,7 +42,7 @@ int bench::Fig1TimelineMain(int argc, char** argv) {
     std::cout << "--- scheme: " << name << " ---\n";
     Table table({"t(s)", "capacity(kbps)", "bwe(kbps)", "enc-target(kbps)",
                  "pacerQ(ms)", "linkQ(ms)", "loss", "qp", "frame-lat(ms)"});
-    for (const metrics::TimeseriesPoint& p : result.timeseries) {
+    for (const metrics::TimeseriesPoint& p : result->timeseries) {
       if (p.at.us() % 250'000 != 0) continue;  // decimate to 2 Hz
       table.AddRow()
           .Cell(p.at.seconds(), 2)
@@ -54,7 +56,7 @@ int bench::Fig1TimelineMain(int argc, char** argv) {
           .Cell(p.last_latency_ms, 1);
     }
     table.Print(std::cout);
-    const auto& s = result.summary;
+    const auto& s = result->summary;
     std::cout << "summary: mean=" << s.latency_mean_ms
               << "ms p95=" << s.latency_p95_ms << "ms ssim=" << s.ssim_mean
               << " bitrate=" << s.encoded_bitrate_kbps << "kbps\n\n";

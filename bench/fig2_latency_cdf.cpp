@@ -62,7 +62,7 @@ int bench::Fig2LatencyCdfMain(int argc, char** argv) {
       int i = 0;
       for (rtc::Scheme scheme :
            {rtc::Scheme::kX264Abr, rtc::Scheme::kAdaptive}) {
-        const rtc::SessionResult& result = results[next++];
+        const rtc::SessionResult& result = *results[next++];
         if (const obs::QuantileSketch* s = bench::LatencySketch(result)) {
           latencies[scheme].Merge(*s);
         }
@@ -81,7 +81,7 @@ int bench::Fig2LatencyCdfMain(int argc, char** argv) {
     int i = 0;
     for (rtc::Scheme scheme :
          {rtc::Scheme::kX264Abr, rtc::Scheme::kAdaptive}) {
-      const rtc::SessionResult& result = results[next++];
+      const rtc::SessionResult& result = *results[next++];
       if (const obs::QuantileSketch* s = bench::LatencySketch(result)) {
         latencies[scheme].Merge(*s);
       }

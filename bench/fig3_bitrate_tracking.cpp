@@ -48,7 +48,7 @@ int bench::Fig3BitrateTrackingMain(int argc, char** argv) {
   std::map<rtc::Scheme, std::vector<double>> series;
   size_t next = 0;
   for (rtc::Scheme scheme : rtc::kAllSchemes) {
-    series[scheme] = WindowedBitrate(results[next++], duration);
+    series[scheme] = WindowedBitrate(*results[next++], duration);
   }
 
   std::cout << "Fig 3: encoder output bitrate (kbps per 500 ms window) vs "

@@ -44,7 +44,7 @@ int bench::Fig4RttSensitivityMain(int argc, char** argv) {
     double p95[2] = {0, 0};
     for ([[maybe_unused]] uint64_t seed : seeds) {
       for (int i = 0; i < 2; ++i) {
-        const rtc::SessionResult& result = results[next++];
+        const rtc::SessionResult& result = *results[next++];
         mean[i] += result.summary.latency_mean_ms / std::size(seeds);
         p95[i] += result.summary.latency_p95_ms / std::size(seeds);
       }

@@ -45,7 +45,7 @@ int bench::Fig5QueueDepthMain(int argc, char** argv) {
     double lost[2] = {0, 0};
     for ([[maybe_unused]] uint64_t seed : seeds) {
       for (int i = 0; i < 2; ++i) {
-        const rtc::SessionResult& result = results[next++];
+        const rtc::SessionResult& result = *results[next++];
         p95[i] += result.summary.latency_p95_ms / std::size(seeds);
         lost[i] += static_cast<double>(result.summary.frames_lost_network) /
                    std::size(seeds);

@@ -27,17 +27,19 @@ int bench::Fig6RecoveryMain(int argc, char** argv) {
   }
   const auto run = bench::RunMatrix(configs, options.jobs);
 
-  std::map<std::string, rtc::SessionResult> results;
-  for (const rtc::SessionResult& result : run) {
-    results.emplace(result.scheme_name, result);
+  // Indexed by scheme name; the results themselves stay where RunMatrix
+  // (and the suite cache) hold them.
+  std::map<std::string, const rtc::SessionResult*> results;
+  for (const auto& result : run) {
+    results.emplace(result->scheme_name, result.get());
   }
 
   std::cout << "Fig 6: recovery behaviour (2.5 -> 0.8 Mbps at 10s, back to "
                "2.5 Mbps at 20s)\n\n";
   Table table({"t(s)", "capacity(kbps)", "abr-qp", "abr-lat(ms)", "adp-qp",
                "adp-lat(ms)"});
-  const auto& abr = results.at("x264-abr").timeseries;
-  const auto& adp = results.at("rave-adaptive").timeseries;
+  const auto& abr = results.at("x264-abr")->timeseries;
+  const auto& adp = results.at("rave-adaptive")->timeseries;
   for (size_t i = 0; i < std::min(abr.size(), adp.size()); ++i) {
     if (abr[i].at.us() % 500'000 != 0) continue;
     table.AddRow()
@@ -58,7 +60,7 @@ int bench::Fig6RecoveryMain(int argc, char** argv) {
     int pre_n = 0;
     double worst_lat = 0.0;
     Timestamp back_at = Timestamp::PlusInfinity();
-    for (const auto& f : result.frames) {
+    for (const auto& f : result->frames) {
       if (f.capture_time < Timestamp::Seconds(10)) {
         if (f.fate == metrics::FrameFate::kDelivered) {
           pre_ssim += f.ssim;
@@ -67,7 +69,7 @@ int bench::Fig6RecoveryMain(int argc, char** argv) {
       }
     }
     pre_ssim /= std::max(pre_n, 1);
-    for (const auto& f : result.frames) {
+    for (const auto& f : result->frames) {
       if (f.capture_time < Timestamp::Seconds(20)) continue;
       if (auto l = f.latency()) worst_lat = std::max(worst_lat, l->ms_float());
       if (back_at.IsFinite()) continue;

@@ -65,7 +65,7 @@ int bench::Fig7LossResilienceMain(int argc, char** argv) {
     double lost[2] = {0, 0};
     for ([[maybe_unused]] uint64_t seed : seeds) {
       for (int i = 0; i < 2; ++i) {
-        const rtc::SessionResult& result = results[next++];
+        const rtc::SessionResult& result = *results[next++];
         mean[i] += result.summary.latency_mean_ms / std::size(seeds);
         disp[i] += result.summary.displayed_ssim_mean / std::size(seeds);
         lost[i] += static_cast<double>(result.summary.frames_lost_network) /

@@ -45,7 +45,7 @@ int bench::Fig9RenderLatencyMain(int argc, char** argv) {
     for (rtc::Scheme scheme : kSchemes) {
       double net = 0, render = 0, render_p95 = 0, late = 0;
       for ([[maybe_unused]] uint64_t seed : seeds) {
-        const rtc::SessionResult& result = results[next++];
+        const rtc::SessionResult& result = *results[next++];
         net += result.summary.latency_mean_ms / std::size(seeds);
         render += result.summary.render_latency_mean_ms / std::size(seeds);
         render_p95 += result.summary.render_latency_p95_ms / std::size(seeds);

@@ -46,7 +46,7 @@ int bench::Tab2QualityMain(int argc, char** argv) {
       double psnr[2] = {0, 0};
       for ([[maybe_unused]] uint64_t seed : seeds) {
         for (int i = 0; i < 2; ++i) {
-          const rtc::SessionResult& result = results[next++];
+          const rtc::SessionResult& result = *results[next++];
           enc[i] += result.summary.encoded_ssim_mean / std::size(seeds);
           disp[i] += result.summary.displayed_ssim_mean / std::size(seeds);
           psnr[i] += result.summary.psnr_mean_db / std::size(seeds);

@@ -85,7 +85,7 @@ void RunSweep(double severity, TimeDelta duration, int jobs) {
          video::kAllContentClasses) {
       for (uint64_t seed : {1ULL, 2ULL, 3ULL}) {
         (void)seed;
-        const rtc::SessionResult& result = results[next++];
+        const rtc::SessionResult& result = *results[next++];
         mean += result.summary.latency_mean_ms;
         p95 += result.summary.latency_p95_ms;
         enc += result.summary.encoded_ssim_mean;

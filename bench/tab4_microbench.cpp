@@ -353,16 +353,18 @@ std::vector<rtc::SessionConfig> ThroughputMatrix(int sessions,
   return configs;
 }
 
-bool SameResults(const std::vector<rtc::SessionResult>& a,
-                 const std::vector<rtc::SessionResult>& b) {
+bool SameResults(const std::vector<rtc::SharedSessionResult>& a,
+                 const std::vector<rtc::SharedSessionResult>& b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].scheme_name != b[i].scheme_name ||
-        a[i].frames.size() != b[i].frames.size() ||
-        a[i].events_executed != b[i].events_executed ||
-        a[i].summary.latency_mean_ms != b[i].summary.latency_mean_ms ||
-        a[i].summary.encoded_ssim_mean != b[i].summary.encoded_ssim_mean ||
-        a[i].link_stats.packets_delivered != b[i].link_stats.packets_delivered) {
+    const rtc::SessionResult& x = *a[i];
+    const rtc::SessionResult& y = *b[i];
+    if (x.scheme_name != y.scheme_name ||
+        x.frames.size() != y.frames.size() ||
+        x.events_executed != y.events_executed ||
+        x.summary.latency_mean_ms != y.summary.latency_mean_ms ||
+        x.summary.encoded_ssim_mean != y.summary.encoded_ssim_mean ||
+        x.link_stats.packets_delivered != y.link_stats.packets_delivered) {
       return false;
     }
   }
@@ -445,8 +447,8 @@ int RunThroughputSection(int sessions, TimeDelta duration, int jobs,
 
   const uint64_t events = std::accumulate(
       serial.begin(), serial.end(), uint64_t{0},
-      [](uint64_t sum, const rtc::SessionResult& r) {
-        return sum + r.events_executed;
+      [](uint64_t sum, const rtc::SharedSessionResult& r) {
+        return sum + r->events_executed;
       });
 
   const bool identical = SameResults(serial, parallel);

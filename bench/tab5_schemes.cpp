@@ -41,7 +41,7 @@ int bench::Tab5SchemesMain(int argc, char** argv) {
     for ([[maybe_unused]] const auto& [name, trace] : suite) {
       for ([[maybe_unused]] video::ContentClass content :
            video::kAllContentClasses) {
-        const rtc::SessionResult& result = results[next++];
+        const rtc::SessionResult& result = *results[next++];
         mean.Add(result.summary.latency_mean_ms);
         p50.Add(result.summary.latency_p50_ms);
         p95.Add(result.summary.latency_p95_ms);

@@ -50,7 +50,7 @@ int bench::Tab6FecMain(int argc, char** argv) {
   for (const Variant& v : variants) {
     double mean = 0, p95 = 0, disp = 0, lost = 0, rate = 0;
     for ([[maybe_unused]] uint64_t seed : seeds) {
-      const rtc::SessionResult& result = results[next++];
+      const rtc::SessionResult& result = *results[next++];
       mean += result.summary.latency_mean_ms / std::size(seeds);
       p95 += result.summary.latency_p95_ms / std::size(seeds);
       disp += result.summary.displayed_ssim_mean / std::size(seeds);

@@ -136,9 +136,10 @@ int main(int argc, char** argv) {
 
     for (size_t i = 0; i < results.size(); ++i) {
       if (i > 0) std::cout << '\n';
+      const rtc::SessionResult& result = *results[i];
       const std::string out_prefix =
-          configs.size() > 1 ? prefix + "_" + results[i].scheme_name : prefix;
-      WriteCsvs(results[i], out_prefix);
+          configs.size() > 1 ? prefix + "_" + result.scheme_name : prefix;
+      WriteCsvs(result, out_prefix);
     }
     return 0;
   } catch (const std::exception& e) {

@@ -21,7 +21,7 @@ namespace rave::codec {
 
 /// Frame coding type. RTC streams are I/P only (no B frames: they add a
 /// frame of latency by construction).
-enum class FrameType { kKey, kDelta };
+enum class FrameType : uint8_t { kKey, kDelta };
 
 /// QP <-> quantizer-scale conversions, exactly as in x264
 /// (`qp2qscale`: qscale = 0.85 * 2^((QP-12)/6)).

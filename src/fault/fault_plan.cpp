@@ -121,14 +121,18 @@ Timestamp FaultPlan::LastClearTime() const {
 }
 
 FaultPlan& FaultPlan::Outage(Timestamp start, TimeDelta duration) {
-  Append({.kind = FaultKind::kLinkOutage, .start = start, .duration = duration});
+  Append({.kind = FaultKind::kLinkOutage,
+          .start = start,
+          .duration = duration,
+          .loss = std::nullopt});
   return *this;
 }
 
 FaultPlan& FaultPlan::FeedbackBlackhole(Timestamp start, TimeDelta duration) {
   Append({.kind = FaultKind::kFeedbackBlackhole,
           .start = start,
-          .duration = duration});
+          .duration = duration,
+          .loss = std::nullopt});
   return *this;
 }
 
@@ -137,7 +141,8 @@ FaultPlan& FaultPlan::DelaySpike(Timestamp start, TimeDelta duration,
   Append({.kind = FaultKind::kDelaySpike,
           .start = start,
           .duration = duration,
-          .delay = extra});
+          .delay = extra,
+          .loss = std::nullopt});
   return *this;
 }
 
@@ -146,7 +151,8 @@ FaultPlan& FaultPlan::DuplicationBurst(Timestamp start, TimeDelta duration,
   Append({.kind = FaultKind::kDuplication,
           .start = start,
           .duration = duration,
-          .magnitude = probability});
+          .magnitude = probability,
+          .loss = std::nullopt});
   return *this;
 }
 
@@ -156,20 +162,20 @@ FaultPlan& FaultPlan::ReorderBurst(Timestamp start, TimeDelta duration,
           .start = start,
           .duration = duration,
           .magnitude = probability,
-          .delay = max_extra});
+          .delay = max_extra,
+          .loss = std::nullopt});
   return *this;
 }
 
 FaultPlan& FaultPlan::Handover(Timestamp start, TimeDelta gap,
                                DataRate new_rate, TimeDelta new_propagation,
                                std::optional<net::LossModel> new_loss) {
-  FaultEvent event{.kind = FaultKind::kHandover,
-                   .start = start,
-                   .duration = gap,
-                   .rate = new_rate,
-                   .propagation = new_propagation};
-  event.loss = std::move(new_loss);
-  Append(std::move(event));
+  Append({.kind = FaultKind::kHandover,
+          .start = start,
+          .duration = gap,
+          .rate = new_rate,
+          .propagation = new_propagation,
+          .loss = std::move(new_loss)});
   return *this;
 }
 
@@ -178,7 +184,8 @@ FaultPlan& FaultPlan::Renegotiate(Timestamp start, TimeDelta duration,
   Append({.kind = FaultKind::kRenegotiate,
           .start = start,
           .duration = duration,
-          .rate = rate});
+          .rate = rate,
+          .loss = std::nullopt});
   return *this;
 }
 

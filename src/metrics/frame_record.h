@@ -13,7 +13,7 @@
 namespace rave::metrics {
 
 /// Terminal state of a frame.
-enum class FrameFate {
+enum class FrameFate : uint8_t {
   kDelivered,       ///< all packets arrived; frame displayed
   kSkippedEncoder,  ///< rate control skipped it before encoding
   kDroppedSender,   ///< sender safety valve dropped it (pacer overflow)
@@ -21,18 +21,23 @@ enum class FrameFate {
   kInFlight,        ///< session ended before completion
 };
 
+/// One per captured frame, and every suite result holds thousands of them,
+/// so the small fields share one 8-byte slot: 96 bytes per record.
 struct FrameRecord {
   int64_t frame_id = 0;
   Timestamp capture_time = Timestamp::Zero();
   FrameFate fate = FrameFate::kInFlight;
 
-  // Encoder-side (valid unless skipped/dropped before encoding).
+  // Encoder-side fields are valid unless the frame was skipped or dropped
+  // before encoding. The small ones share fate's 8-byte slot.
   codec::FrameType type = codec::FrameType::kDelta;
+  /// Receiver-side: the frame missed its playout deadline (visible stutter).
+  bool late_render = false;
+  int reencodes = 0;
   double qp = 0.0;
   DataSize size = DataSize::Zero();
   double ssim = 0.0;
   double psnr = 0.0;
-  int reencodes = 0;
   /// Temporal complexity of the source content at this frame; drives the
   /// freeze penalty when the frame is not displayed.
   double temporal_complexity = 0.0;
@@ -41,8 +46,6 @@ struct FrameRecord {
   std::optional<Timestamp> complete_time;
   /// When the jitter buffer put the frame on screen.
   std::optional<Timestamp> render_time;
-  /// Frame missed its playout deadline (visible stutter).
-  bool late_render = false;
 
   /// Capture-to-completion (network) latency; nullopt unless delivered.
   std::optional<TimeDelta> latency() const {

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "metrics/frame_record.h"
@@ -99,6 +100,12 @@ class SessionMetrics {
   const std::vector<FrameRecord>& frames() const { return frames_; }
   const std::vector<TimeseriesPoint>& timeseries() const {
     return timeseries_;
+  }
+  /// Moves the frame records / timeseries out at the end of a session; the
+  /// collector holds none afterwards.
+  std::vector<FrameRecord> TakeFrames() { return std::exchange(frames_, {}); }
+  std::vector<TimeseriesPoint> TakeTimeseries() {
+    return std::exchange(timeseries_, {});
   }
 
   /// Latency samples (ms) of delivered frames, for CDFs.

@@ -1,10 +1,13 @@
-// Bottleneck link model: FIFO droptail byte queue + exact serialization at a
+// Bottleneck link model: FIFO droptail byte queue + serialization at a
 // piecewise-constant capacity + fixed propagation delay.
 //
 // This substitutes for the tc/mahimahi bottleneck a testbed would use. The
-// serializer integrates the capacity trace exactly: when the rate changes
-// mid-packet, the remaining bits are re-scheduled at the new rate, so queueing
-// delays match the fluid model to microsecond precision.
+// serializer follows the capacity trace: when the rate changes mid-packet,
+// the remaining bits are re-scheduled at the new rate. It is not exact to
+// the microsecond over a backlog, though: each packet's serialization time
+// is rounded to the nearest µs, so the error against the fluid model builds
+// up over a busy period (up to 0.9 ms measured over a 2000-packet backlog;
+// ROADMAP item 8 tracks an exact fluid reference).
 #pragma once
 
 #include <cstdint>

@@ -37,20 +37,38 @@ double QuantileSketch::BucketLowerBound(int i) {
                                (sub << (52 - kSubBucketBits)));
 }
 
+void QuantileSketch::Widen(int first, int last) {
+  if (first < offset_) {
+    buckets_.insert(buckets_.begin(), static_cast<size_t>(offset_ - first), 0);
+    offset_ = first;
+  }
+  if (last > last_index()) {
+    buckets_.resize(static_cast<size_t>(last - offset_ + 1), 0);
+  }
+}
+
 void QuantileSketch::Record(double v) {
   if (!std::isfinite(v)) return;
+  // -0.0 == +0.0, so which zero became min/max would depend on arrival
+  // order (and show in Encode); record both as +0.0.
+  if (v == 0.0) v = 0.0;
+  const int index = BucketIndex(v);
   if (count_ == 0) {
-    buckets_.assign(kTotalBuckets, 0);
+    buckets_.assign(1, 0);
+    offset_ = index;
     min_ = max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
+  } else if (v < min_) {
+    min_ = v;
+    Widen(index, index);
+  } else if (max_ < v) {
+    max_ = v;
+    Widen(index, index);
   }
   ++count_;
   const double units =
       std::clamp(v * kSumScale, -kSumClampUnits, kSumClampUnits);
   sum_fp_ += static_cast<__int128>(units);
-  ++buckets_[static_cast<size_t>(BucketIndex(v))];
+  ++buckets_[static_cast<size_t>(index - offset_)];
 }
 
 void QuantileSketch::Merge(const QuantileSketch& other) {
@@ -59,7 +77,11 @@ void QuantileSketch::Merge(const QuantileSketch& other) {
     *this = other;
     return;
   }
-  for (size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
+  Widen(other.offset_, other.last_index());
+  const size_t shift = static_cast<size_t>(other.offset_ - offset_);
+  for (size_t i = 0; i < other.buckets_.size(); ++i) {
+    buckets_[shift + i] += other.buckets_[i];
+  }
   count_ += other.count_;
   sum_fp_ += other.sum_fp_;
   min_ = std::min(min_, other.min_);
@@ -78,8 +100,8 @@ double QuantileSketch::Quantile(double q) const {
   // Rank of the target sample, 1-based: q=0 -> first sample, q=1 -> last.
   const double rank = q * static_cast<double>(count_ - 1) + 1.0;
   uint64_t cumulative = 0;
-  for (int i = 0; i < kTotalBuckets; ++i) {
-    const uint64_t in_bucket = buckets_[static_cast<size_t>(i)];
+  for (int i = offset_; i <= last_index(); ++i) {
+    const uint64_t in_bucket = buckets_[static_cast<size_t>(i - offset_)];
     if (in_bucket == 0) continue;
     const double bucket_first = static_cast<double>(cumulative) + 1.0;
     cumulative += in_bucket;
@@ -106,10 +128,10 @@ void QuantileSketch::Encode(ByteWriter& w) const {
   uint32_t nonzero = 0;
   for (uint64_t c : buckets_) nonzero += c != 0 ? 1 : 0;
   w.U32(nonzero);
-  for (int i = 0; i < static_cast<int>(buckets_.size()); ++i) {
-    if (buckets_[static_cast<size_t>(i)] == 0) continue;
-    w.U32(static_cast<uint32_t>(i));
-    w.U64(buckets_[static_cast<size_t>(i)]);
+  for (size_t i = 0; i < buckets_.size(); ++i) {
+    if (buckets_[i] == 0) continue;
+    w.U32(static_cast<uint32_t>(offset_ + static_cast<int>(i)));
+    w.U64(buckets_[i]);
   }
 }
 
@@ -124,41 +146,48 @@ QuantileSketch QuantileSketch::Decode(ByteReader& r) {
   s.max_ = r.F64();
   const uint32_t nonzero = r.U32();
   if (!r.ok()) return QuantileSketch{};
-  if (s.count_ > 0) s.buckets_.assign(kTotalBuckets, 0);
+  // Structural validation: an empty sketch must carry no state, min/max
+  // must be finite and ordered, every bucket index must lie in the window
+  // they fix, and bucket counts must account for every sample. Anything
+  // else is corruption; fail the stream.
+  const auto fail = [&r] {
+    r.Invalidate();
+    return QuantileSketch{};
+  };
+  if (s.count_ == 0) {
+    if (s.sum_fp_ != 0 || s.min_ != 0.0 || s.max_ != 0.0 || nonzero != 0) {
+      return fail();
+    }
+    return s;
+  }
+  if (!std::isfinite(s.min_) || !std::isfinite(s.max_) || s.min_ > s.max_) {
+    return fail();
+  }
+  s.offset_ = BucketIndex(s.min_);
+  s.buckets_.assign(static_cast<size_t>(BucketIndex(s.max_) - s.offset_ + 1),
+                    0);
   uint64_t total = 0;
-  int prev_index = -1;
+  int prev_index = s.offset_ - 1;
   for (uint32_t i = 0; i < nonzero && r.ok(); ++i) {
     const uint32_t index = r.U32();
     const uint64_t bucket_count = r.U64();
-    if (index >= kTotalBuckets || static_cast<int>(index) <= prev_index ||
-        bucket_count == 0 || s.count_ == 0) {
-      r.Invalidate();
-      return QuantileSketch{};
+    if (index > static_cast<uint32_t>(s.last_index()) ||
+        static_cast<int>(index) <= prev_index || bucket_count == 0) {
+      return fail();
     }
     prev_index = static_cast<int>(index);
-    s.buckets_[index] = bucket_count;
+    s.buckets_[static_cast<size_t>(prev_index - s.offset_)] = bucket_count;
     total += bucket_count;
   }
   if (!r.ok()) return QuantileSketch{};
-  // Structural validation: bucket counts must account for every sample, an
-  // empty sketch must carry no state, and min/max must be finite and
-  // ordered. Anything else is corruption; fail the stream.
-  const bool empty_ok =
-      s.count_ != 0 || (s.sum_fp_ == 0 && s.min_ == 0.0 && s.max_ == 0.0);
-  const bool extremes_ok =
-      s.count_ == 0 ||
-      (std::isfinite(s.min_) && std::isfinite(s.max_) && s.min_ <= s.max_);
-  if (total != s.count_ || !empty_ok || !extremes_ok) {
-    r.Invalidate();
-    return QuantileSketch{};
-  }
+  if (total != s.count_) return fail();
   return s;
 }
 
 bool QuantileSketch::operator==(const QuantileSketch& other) const {
   return count_ == other.count_ && sum_fp_ == other.sum_fp_ &&
          min_ == other.min_ && max_ == other.max_ &&
-         buckets_ == other.buckets_;
+         offset_ == other.offset_ && buckets_ == other.buckets_;
 }
 
 }  // namespace rave::obs

@@ -5,8 +5,9 @@
 // latency in one vector — O(sessions x frames) memory, and impossible to
 // shard. A QuantileSketch is the streaming replacement: a fixed-layout
 // log-bucket histogram (HdrHistogram/DDSketch family) with exact count,
-// fixed-point sum, and exact min/max, sized so one sketch is a few KB
-// regardless of how many samples it absorbed.
+// fixed-point sum, and exact min/max. Its memory is O(occupied range): it
+// stores one counter per bucket from the min's bucket to the max's, never
+// more than kTotalBuckets, however many samples it absorbed.
 //
 // Layout (compile-time constants, identical in every sketch — there is no
 // per-instance configuration, which is what makes any two sketches
@@ -59,13 +60,14 @@ class QuantileSketch {
   static constexpr int kMaxBiasedExp = 1023 + 47;
   static constexpr int kNumLogBuckets =
       (kMaxBiasedExp - kMinBiasedExp + 1) * kSubBuckets;  // 2048
-  /// Dense layout size: underflow + log buckets + overflow.
+  /// Buckets in the fixed layout: underflow + log buckets + overflow.
   static constexpr int kTotalBuckets = kNumLogBuckets + 2;
   /// Worst-case relative error of Quantile() for samples in
   /// [kMinValue, kMaxValue): one bucket width, 2^(1/32) - 1.
   static constexpr double kRelativeError = 0.0219;  // > 2^(1/32) - 1
 
-  /// Adds one sample. Ignores NaN/inf (they would poison sum and min/max).
+  /// Adds one sample. Ignores NaN/inf (they would poison sum and min/max)
+  /// and records -0.0 as +0.0 (so min/max cannot depend on sample order).
   void Record(double v);
 
   /// Adds `other` into this sketch. Commutative, associative, and
@@ -87,9 +89,10 @@ class QuantileSketch {
   /// size is O(distinct magnitudes), typically well under 1 KB.
   void Encode(ByteWriter& w) const;
   /// Inverse of Encode. On truncated bytes or a structurally invalid
-  /// payload (out-of-range/unsorted bucket indices, bucket counts that do
-  /// not sum to the total) the reader is invalidated, so blob decoding
-  /// fails closed and the cache recomputes.
+  /// payload (unsorted bucket indices, an index outside
+  /// [BucketIndex(min), BucketIndex(max)], bucket counts that do not sum to
+  /// the total) the reader is invalidated, so blob decoding fails closed and
+  /// the cache recomputes.
   static QuantileSketch Decode(ByteReader& r);
 
   bool operator==(const QuantileSketch& other) const;
@@ -101,9 +104,19 @@ class QuantileSketch {
   /// upper bound of bucket i is BucketLowerBound(i + 1).
   static double BucketLowerBound(int i);
 
-  /// Lazily allocated on first Record/Merge; empty iff count_ == 0, so the
-  /// defaulted comparison semantics stay value-based.
+  /// Dense index of the window's last bucket.
+  int last_index() const {
+    return offset_ + static_cast<int>(buckets_.size()) - 1;
+  }
+  /// Grows the window to cover dense buckets [first, last].
+  void Widen(int first, int last);
+
+  /// Counts of dense buckets [offset_, offset_ + buckets_.size()). The window
+  /// is exactly [BucketIndex(min_), BucketIndex(max_)] (BucketIndex is
+  /// monotone, so every sample lands inside it), and empty iff count_ == 0;
+  /// the exact extremes fix it, so comparison stays value-based.
   std::vector<uint64_t> buckets_;
+  int offset_ = 0;
   uint64_t count_ = 0;
   /// Fixed-point (2^-20 units) sum in 128 bits; addition is associative,
   /// so merge order cannot change a bit. Per-sample contributions are

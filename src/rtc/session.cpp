@@ -482,8 +482,6 @@ SessionResult Session::Run() {
   SessionResult result;
   result.scheme_name = ToString(config_.scheme);
   result.summary = metrics_.Summarize(config_.duration);
-  result.frames = metrics_.frames();
-  result.timeseries = metrics_.timeseries();
   result.link_stats = forward_link_->stats();
   result.breaker_stats = breaker_.stats();
   result.events_executed = loop_.events_executed();
@@ -505,6 +503,9 @@ SessionResult Session::Run() {
   obs::QuantileSketch* latency = registry_.GetSketch("frame.latency_ms");
   for (double ms : metrics_.DeliveredLatenciesMs()) latency->Record(ms);
   result.metrics = registry_.Snapshot();
+  // Everything that reads the frame records has run: hand them over.
+  result.frames = metrics_.TakeFrames();
+  result.timeseries = metrics_.TakeTimeseries();
 
   obs::RuntimeStats::Instance().RecordSession(
       static_cast<double>(wall_ns) * 1e-6, result.events_executed,

@@ -125,6 +125,10 @@ struct SessionResult {
   obs::RegistrySnapshot metrics;
 };
 
+/// A finished result, shared read-only by the result cache and every caller
+/// that asked for it: one copy per session, however many harnesses read it.
+using SharedSessionResult = std::shared_ptr<const SessionResult>;
+
 /// Builds and runs one session. Single use: construct, Run(), discard.
 class Session {
  public:

@@ -90,9 +90,9 @@ void ParallelRunner::WorkerLoop() {
   }
 }
 
-std::vector<rtc::SessionResult> ParallelRunner::RunSessions(
+std::vector<rtc::SharedSessionResult> ParallelRunner::RunSessions(
     const std::vector<rtc::SessionConfig>& configs, ResultCache* cache) {
-  std::vector<rtc::SessionResult> results(configs.size());
+  std::vector<rtc::SharedSessionResult> results(configs.size());
   // Longest-expected-job-first: sessions are self-contained, so posting
   // order affects only wall clock, never results — each job writes to its
   // submission-order slot.
@@ -103,7 +103,8 @@ std::vector<rtc::SessionResult> ParallelRunner::RunSessions(
             ComputeSessionKey(configs[i]),
             [&configs, i] { return rtc::RunSession(configs[i]); });
       } else {
-        results[i] = rtc::RunSession(configs[i]);
+        results[i] = std::make_shared<const rtc::SessionResult>(
+            rtc::RunSession(configs[i]));
       }
     });
   }
@@ -111,7 +112,7 @@ std::vector<rtc::SessionResult> ParallelRunner::RunSessions(
   return results;
 }
 
-std::vector<rtc::SessionResult> RunSessions(
+std::vector<rtc::SharedSessionResult> RunSessions(
     const std::vector<rtc::SessionConfig>& configs, int jobs,
     ResultCache* cache) {
   ParallelRunner runner(jobs);

@@ -65,8 +65,10 @@ class ParallelRunner {
   /// Runs every config and returns the results in submission order
   /// (bit-identical at any job count; jobs are *posted* longest-first but
   /// each result lands in its submission-order slot). With a cache, each
-  /// session is looked up by content key first and only computed on a miss.
-  std::vector<rtc::SessionResult> RunSessions(
+  /// session is looked up by content key first and only computed on a miss,
+  /// and the returned pointers share the cache's entries instead of copying
+  /// them.
+  std::vector<rtc::SharedSessionResult> RunSessions(
       const std::vector<rtc::SessionConfig>& configs,
       ResultCache* cache = nullptr);
 
@@ -85,7 +87,7 @@ class ParallelRunner {
 };
 
 /// Convenience: pool-per-call form of ParallelRunner::RunSessions.
-std::vector<rtc::SessionResult> RunSessions(
+std::vector<rtc::SharedSessionResult> RunSessions(
     const std::vector<rtc::SessionConfig>& configs, int jobs = 0,
     ResultCache* cache = nullptr);
 

@@ -110,7 +110,12 @@ uint64_t ResultCache::ParseMaxDiskMb(std::string_view mb) {
   return parsed << 20;
 }
 
-rtc::SessionResult ResultCache::GetOrCompute(
+rtc::SharedSessionResult ResultCache::ShareResult(EntryPtr entry) {
+  const rtc::SessionResult* result = &entry->result;
+  return rtc::SharedSessionResult(std::move(entry), result);
+}
+
+rtc::SharedSessionResult ResultCache::GetOrCompute(
     const SessionKey& key,
     const std::function<rtc::SessionResult()>& compute) {
   std::shared_future<EntryPtr> future;
@@ -129,11 +134,13 @@ rtc::SessionResult ResultCache::GetOrCompute(
   }
 
   if (!owner) {
-    const EntryPtr entry = future.get();
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.memory_hits;
-    stats_.saved_compute_us += entry->compute_us;
-    return entry->result;
+    EntryPtr entry = future.get();
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++stats_.memory_hits;
+      stats_.saved_compute_us += entry->compute_us;
+    }
+    return ShareResult(std::move(entry));
   }
 
   // This caller computes (or loads) the entry; everyone else waits on the
@@ -147,7 +154,7 @@ rtc::SessionResult ResultCache::GetOrCompute(
         stats_.saved_compute_us += from_disk->compute_us;
       }
       promise.set_value(from_disk);
-      return from_disk->result;
+      return ShareResult(std::move(from_disk));
     }
 
     const uint64_t start_us = NowSteadyUs();
@@ -160,7 +167,7 @@ rtc::SessionResult ResultCache::GetOrCompute(
     }
     StoreBlob(key, *entry);
     promise.set_value(entry);
-    return entry->result;
+    return ShareResult(std::move(entry));
   } catch (...) {
     // Unpin the key so a later call can retry, then propagate to this
     // caller and every waiter.

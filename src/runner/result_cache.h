@@ -9,13 +9,25 @@
 //    concurrent writers (threads or separate processes sharing a cache
 //    directory) never expose partial files.
 //
-// The disk tier is fail-safe by construction: a truncated, corrupted,
+// The disk tier fails safe on damage: a truncated, corrupted,
 // version-mismatched, or fingerprint-mismatched blob, or anything at a blob
 // path that is not a regular file no larger than the size cap, is a miss —
-// the session is recomputed and the blob overwritten. The cache can slow a
-// run down (never) or lose entries (harmless); it cannot crash a run or
-// serve stale results, because the key embeds kSimFingerprint and the blob
-// carries a checksum over its payload.
+// the session is recomputed and the blob overwritten. Damage cannot crash a
+// run: the header checks, the payload checksum and the full decode catch it.
+//
+// Staleness is another matter. The key covers every SessionConfig field and
+// kSimFingerprint, not the compiled code, so the disk tier serves current
+// results only if every change to simulation semantics bumps
+// kSimFingerprint. A code change that moves results without a bump (say, a
+// different constant inside a controller) is served the old results from a
+// warm directory, and no check here can tell. The byte-comparing ctest gates
+// therefore run with RAVE_CACHE_DIR unset.
+//
+// Result ownership: a finished result is immutable. GetOrCompute hands out
+// a shared pointer to the cache's own entry (an aliasing pointer, no extra
+// allocation), so every caller that asks for a key reads the same object,
+// nothing is deep-copied per request, and a result stays valid after the
+// cache that produced it is destroyed.
 //
 // Lookups happen once per session, strictly off the per-event hot path.
 #pragma once
@@ -89,7 +101,8 @@ class ResultCache {
 
   /// Returns the cached result for `key`, or runs `compute` (exactly once
   /// per key, even under concurrent callers) and caches what it returns.
-  rtc::SessionResult GetOrCompute(
+  /// Every call for one key returns the same shared, immutable object.
+  rtc::SharedSessionResult GetOrCompute(
       const SessionKey& key,
       const std::function<rtc::SessionResult()>& compute);
 
@@ -121,6 +134,9 @@ class ResultCache {
     uint64_t compute_us = 0;
   };
   using EntryPtr = std::shared_ptr<const Entry>;
+
+  /// The entry's result, sharing the entry's ownership.
+  static rtc::SharedSessionResult ShareResult(EntryPtr entry);
 
   /// Disk-tier blob path for a key.
   std::string BlobPath(const SessionKey& key) const;

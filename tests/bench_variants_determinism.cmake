@@ -15,6 +15,14 @@
 # With CACHE_DIR set, the directory is removed first and every variant runs
 # with --cache-dir=<dir>: the first run is a cold cache pass and the rest
 # are warm, so the compare also gates cold-vs-warm byte-identity.
+
+# Compare what this build computes: a result-cache directory or a coalescing
+# switch inherited from the calling shell must not decide the bytes (a warm
+# RAVE_CACHE_DIR serves results from whatever build filled it).
+unset(ENV{RAVE_CACHE_DIR})
+unset(ENV{RAVE_CACHE_MAX_MB})
+unset(ENV{RAVE_NO_COALESCE})
+
 if(NOT DEFINED BINARY OR NOT DEFINED OUT OR NOT DEFINED VARIANTS)
   message(FATAL_ERROR
           "bench_variants_determinism.cmake needs -DBINARY, -DOUT, -DVARIANTS")

@@ -10,6 +10,14 @@
 # "Pinned benchmark digests", beside the blob and fingerprint rule.
 #
 #   cmake -DDRIVER=... -DOUT=dir -P benchmark_digest.cmake
+
+# Compare what this build computes: a result-cache directory or a coalescing
+# switch inherited from the calling shell must not decide the bytes (a warm
+# RAVE_CACHE_DIR serves results from whatever build filled it).
+unset(ENV{RAVE_CACHE_DIR})
+unset(ENV{RAVE_CACHE_MAX_MB})
+unset(ENV{RAVE_NO_COALESCE})
+
 set(pins
     "high-rate=3718e4fedc7f3a04"
     "lossy-low-rate=77b10dae21c9e866")

@@ -5,6 +5,12 @@
 namespace rave::metrics {
 namespace {
 
+// Every suite result holds thousands of these; the small fields share one
+// 8-byte slot.
+static_assert(sizeof(FrameRecord) <= 96,
+              "FrameRecord grew past 96 bytes: pack new small fields with "
+              "fate/type/late_render/reencodes");
+
 FrameRecord EncodedRecord(int64_t id, double ssim = 0.95, double qp = 28.0,
                           codec::FrameType type = codec::FrameType::kDelta) {
   FrameRecord r;

@@ -7,8 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics_registry.h"
@@ -41,6 +45,57 @@ double ExactQuantile(std::vector<double> samples, double q) {
   const size_t hi = std::min(lo + 1, samples.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return samples[lo] + frac * (samples[hi] - samples[lo]);
+}
+
+/// splitmix64: a fixed generator that no standard library can change, so
+/// the seeded streams below (and the pinned digest) are the same everywhere.
+class SplitMix64 {
+ public:
+  explicit SplitMix64(uint64_t seed) : state_(seed) {}
+  uint64_t Next() {
+    uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  }
+
+ private:
+  uint64_t state_;
+};
+
+/// `n` finite doubles built from raw bits: magnitudes 2^-24..2^52, so the
+/// stream reaches the underflow and overflow buckets, and one in eight
+/// negative.
+std::vector<double> SpreadStream(uint64_t seed, int n) {
+  SplitMix64 rng(seed);
+  std::vector<double> samples;
+  samples.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const uint64_t a = rng.Next();
+    const uint64_t b = rng.Next();
+    const uint64_t biased_exp = 1023 - 24 + a % 77;
+    const uint64_t sign = (b >> 61) == 0 ? 1 : 0;
+    const uint64_t mantissa = b & ((uint64_t{1} << 52) - 1);
+    samples.push_back(
+        std::bit_cast<double>(sign << 63 | biased_exp << 52 | mantissa));
+  }
+  return samples;
+}
+
+/// FNV-1a, 64-bit.
+uint64_t Fnv1a64(const std::vector<uint8_t>& bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (uint8_t byte : bytes) {
+    h ^= byte;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+QuantileSketch RecordAll(const std::vector<double>& samples) {
+  QuantileSketch s;
+  for (double v : samples) s.Record(v);
+  return s;
 }
 
 TEST(QuantileSketchTest, EmptySketch) {
@@ -319,6 +374,105 @@ TEST(QuantileSketchTest, CorruptCacheBlobFailsDecodeInsteadOfCrashing) {
                                  payload.end() - 5);
   rtc::SessionResult out;
   EXPECT_FALSE(runner::ResultCache::DecodeResult(truncated, &out));
+}
+
+// The window a sketch stores is fixed by its exact extremes, so the encoded
+// bytes cannot depend on how the samples reached it: in order, reversed, or
+// split into random groups merged in random order.
+TEST(QuantileSketchTest, EncodeBytesIndependentOfRecordAndMergeOrder) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> ascending;
+  for (int i = 0; i < 2000; ++i) ascending.push_back(0.37 * i);
+  std::vector<double> with_non_finite = SpreadStream(11, 500);
+  for (size_t i = 0; i < with_non_finite.size(); i += 7) {
+    with_non_finite[i] = i % 3 == 0 ? nan : (i % 3 == 1 ? inf : -inf);
+  }
+  const std::vector<std::pair<const char*, std::vector<double>>> streams = {
+      {"spread", SpreadStream(1, 3000)},
+      {"underflow only", {1e-9, 0.0, -0.0, 3e-6, 1e-300}},
+      {"overflow only", {1e15, 3e17, 2.81474976710656e14, 1e300}},
+      {"negative only", {-1.0, -250.0, -1e-3, -7e20}},
+      {"non-finite mixed in", with_non_finite},
+      {"only non-finite", {nan, inf, -inf}},
+      {"single sample", {42.5}},
+      {"single underflow", {-3.0}},
+      {"single overflow", {1e200}},
+      {"constant", std::vector<double>(300, 7.25)},
+      {"ascending", ascending},
+  };
+  std::mt19937_64 rng(5);
+  for (const auto& [name, samples] : streams) {
+    SCOPED_TRACE(name);
+    const QuantileSketch reference = RecordAll(samples);
+    const std::vector<uint8_t> reference_bytes = EncodeBytes(reference);
+
+    const std::vector<double> reversed(samples.rbegin(), samples.rend());
+    EXPECT_EQ(RecordAll(reversed), reference);
+    EXPECT_EQ(EncodeBytes(RecordAll(reversed)), reference_bytes) << "reversed";
+
+    for (int split = 0; split < 8; ++split) {
+      const size_t num_groups = 1 + rng() % 6;
+      std::vector<QuantileSketch> groups(num_groups);
+      for (double v : samples) groups[rng() % num_groups].Record(v);
+      std::shuffle(groups.begin(), groups.end(), rng);
+      QuantileSketch merged;
+      for (const QuantileSketch& g : groups) merged.Merge(g);
+      EXPECT_EQ(merged, reference) << "split " << split;
+      EXPECT_EQ(EncodeBytes(merged), reference_bytes) << "split " << split;
+    }
+
+    bool ok = false;
+    const QuantileSketch back = DecodeBytes(reference_bytes, &ok);
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(back, reference);
+    EXPECT_EQ(EncodeBytes(back), reference_bytes);
+  }
+}
+
+// The wire format behind cache blobs and BENCH_suite.json's "sketches"
+// section: one seeded sketch's Encode bytes, pinned by digest.
+TEST(QuantileSketchTest, SeededSketchEncodeDigestIsPinned) {
+  const QuantileSketch s = RecordAll(SpreadStream(2026, 4096));
+  EXPECT_EQ(s.count(), 4096u);
+  EXPECT_EQ(Fnv1a64(EncodeBytes(s)), 0x7eb73013db3a56ebull);
+}
+
+// Every sample lies in [BucketIndex(min), BucketIndex(max)], so a bucket
+// outside that window is corruption even when the layout has such a bucket.
+TEST(QuantileSketchTest, DecodeRejectsBucketOutsideMinMaxWindow) {
+  QuantileSketch s;
+  for (int i = 10; i <= 100; ++i) s.Record(static_cast<double>(i));
+  const std::vector<uint8_t> bytes = EncodeBytes(s);
+  // Pairs of (U32 index, U64 count) follow the 44-byte header; the first
+  // holds the min's bucket, the last the max's.
+  const auto index_at = [&bytes](size_t pos) {
+    uint32_t index = 0;
+    for (int k = 3; k >= 0; --k) index = index << 8 | bytes[pos + k];
+    return index;
+  };
+  const auto with_index_at = [&bytes](size_t pos, uint32_t index) {
+    std::vector<uint8_t> out = bytes;
+    for (int k = 0; k < 4; ++k) out[pos + k] = static_cast<uint8_t>(index >> (8 * k));
+    return out;
+  };
+  const size_t first = 44;
+  const size_t last = bytes.size() - 12;
+  ASSERT_GT(index_at(first), 0u);
+  ASSERT_LT(index_at(last) + 1,
+            static_cast<uint32_t>(QuantileSketch::kTotalBuckets));
+
+  for (const auto& [name, corrupt] :
+       {std::pair{"below the min's bucket",
+                  with_index_at(first, index_at(first) - 1)},
+        std::pair{"above the max's bucket",
+                  with_index_at(last, index_at(last) + 1)}}) {
+    SCOPED_TRACE(name);
+    ByteReader r(corrupt);
+    const QuantileSketch decoded = QuantileSketch::Decode(r);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(decoded, QuantileSketch{});
+  }
 }
 
 }  // namespace

@@ -83,12 +83,12 @@ TEST(ParallelRunnerTest, ParallelMatchesSerialOverDropSuite) {
   ASSERT_EQ(parallel.size(), configs.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     SCOPED_TRACE("config " + std::to_string(i));
-    EXPECT_EQ(serial[i].scheme_name, parallel[i].scheme_name);
-    EXPECT_EQ(serial[i].events_executed, parallel[i].events_executed);
-    ExpectSameSummary(serial[i].summary, parallel[i].summary);
-    ExpectSameFrames(serial[i].frames, parallel[i].frames);
-    ExpectSameLinkStats(serial[i].link_stats, parallel[i].link_stats);
-    ASSERT_EQ(serial[i].timeseries.size(), parallel[i].timeseries.size());
+    EXPECT_EQ(serial[i]->scheme_name, parallel[i]->scheme_name);
+    EXPECT_EQ(serial[i]->events_executed, parallel[i]->events_executed);
+    ExpectSameSummary(serial[i]->summary, parallel[i]->summary);
+    ExpectSameFrames(serial[i]->frames, parallel[i]->frames);
+    ExpectSameLinkStats(serial[i]->link_stats, parallel[i]->link_stats);
+    ASSERT_EQ(serial[i]->timeseries.size(), parallel[i]->timeseries.size());
   }
 }
 
@@ -106,7 +106,7 @@ TEST(ParallelRunnerTest, OrderingWhenJobsExceedSessions) {
   const auto results = runner::RunSessions(configs, /*jobs=*/16);
   ASSERT_EQ(results.size(), configs.size());
   for (size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].scheme_name, rtc::ToString(configs[i].scheme));
+    EXPECT_EQ(results[i]->scheme_name, rtc::ToString(configs[i].scheme));
   }
 }
 
@@ -200,9 +200,9 @@ TEST(ParallelRunnerTest, StragglerSubmittedLastStaysInSubmissionOrder) {
   ASSERT_EQ(parallel.size(), configs.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     SCOPED_TRACE("config " + std::to_string(i));
-    EXPECT_EQ(serial[i].scheme_name, rtc::ToString(configs[i].scheme));
-    EXPECT_EQ(serial[i].events_executed, parallel[i].events_executed);
-    ExpectSameSummary(serial[i].summary, parallel[i].summary);
+    EXPECT_EQ(serial[i]->scheme_name, rtc::ToString(configs[i].scheme));
+    EXPECT_EQ(serial[i]->events_executed, parallel[i]->events_executed);
+    ExpectSameSummary(serial[i]->summary, parallel[i]->summary);
   }
 }
 
@@ -234,14 +234,17 @@ TEST(ParallelRunnerTest, CacheBackedRunMatchesUncached) {
   ASSERT_EQ(warm_serial.size(), configs.size());
   for (size_t i = 0; i < configs.size(); ++i) {
     SCOPED_TRACE("config " + std::to_string(i));
-    EXPECT_EQ(uncached[i].events_executed, cold[i].events_executed);
-    EXPECT_EQ(uncached[i].events_executed, warm[i].events_executed);
-    ExpectSameSummary(uncached[i].summary, cold[i].summary);
-    ExpectSameSummary(uncached[i].summary, warm[i].summary);
-    ExpectSameSummary(uncached[i].summary, warm_serial[i].summary);
-    ExpectSameFrames(uncached[i].frames, warm[i].frames);
-    ExpectSameFrames(uncached[i].frames, warm_serial[i].frames);
-    ExpectSameLinkStats(uncached[i].link_stats, warm[i].link_stats);
+    // Warm passes share the entries the cold pass cached.
+    EXPECT_EQ(cold[i].get(), warm[i].get());
+    EXPECT_EQ(cold[i].get(), warm_serial[i].get());
+    EXPECT_EQ(uncached[i]->events_executed, cold[i]->events_executed);
+    EXPECT_EQ(uncached[i]->events_executed, warm[i]->events_executed);
+    ExpectSameSummary(uncached[i]->summary, cold[i]->summary);
+    ExpectSameSummary(uncached[i]->summary, warm[i]->summary);
+    ExpectSameSummary(uncached[i]->summary, warm_serial[i]->summary);
+    ExpectSameFrames(uncached[i]->frames, warm[i]->frames);
+    ExpectSameFrames(uncached[i]->frames, warm_serial[i]->frames);
+    ExpectSameLinkStats(uncached[i]->link_stats, warm[i]->link_stats);
   }
 }
 
@@ -257,8 +260,7 @@ TEST(ParallelRunnerTest, DuplicateConfigsComputeOncePerKeyWithCache) {
   EXPECT_EQ(cache.stats().computes, 1u);
   EXPECT_EQ(cache.stats().memory_hits, configs.size() - 1);
   for (size_t i = 1; i < results.size(); ++i) {
-    EXPECT_EQ(results[0].events_executed, results[i].events_executed);
-    ExpectSameSummary(results[0].summary, results[i].summary);
+    EXPECT_EQ(results[0].get(), results[i].get());
   }
 }
 

@@ -58,6 +58,13 @@ void ExpectBitIdentical(const rtc::SessionResult& a,
             runner::ResultCache::EncodeResult(b));
 }
 
+void ExpectBitIdentical(const rtc::SharedSessionResult& a,
+                        const rtc::SharedSessionResult& b) {
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  ExpectBitIdentical(*a, *b);
+}
+
 TEST(ResultCacheCodecTest, RoundTripsARealSessionBitExactly) {
   auto config = SmallConfig();
   config.enable_fec = true;  // exercise protection/FEC summary fields
@@ -127,7 +134,8 @@ TEST(ResultCacheTest, MemoryTierHitsWithoutDisk) {
   const auto first = cache.GetOrCompute(key, compute);
   const auto second = cache.GetOrCompute(key, compute);
   EXPECT_EQ(computes, 1);
-  ExpectBitIdentical(first, second);
+  // A hit shares the computed entry; it is never a copy.
+  EXPECT_EQ(first.get(), second.get());
 
   const auto stats = cache.stats();
   EXPECT_EQ(stats.computes, 1u);
@@ -142,7 +150,7 @@ TEST(ResultCacheTest, DiskTierSurvivesProcessRestart) {
   const runner::SessionKey key = runner::ComputeSessionKey(config);
   auto compute = [&] { return rtc::RunSession(config); };
 
-  rtc::SessionResult first;
+  rtc::SharedSessionResult first;
   {
     runner::ResultCache cache({dir});
     first = cache.GetOrCompute(key, compute);
@@ -173,7 +181,7 @@ TEST(ResultCacheTest, CorruptedBlobsAreMissesNotCrashes) {
   const runner::SessionKey key = runner::ComputeSessionKey(config);
   auto compute = [&] { return rtc::RunSession(config); };
 
-  rtc::SessionResult reference;
+  rtc::SharedSessionResult reference;
   {
     runner::ResultCache cache({dir});
     reference = cache.GetOrCompute(key, compute);
@@ -241,7 +249,7 @@ void ExpectStaleBlobRecomputed(const char* dir_name, size_t field_offset,
   const runner::SessionKey key = runner::ComputeSessionKey(config);
   auto compute = [&] { return rtc::RunSession(config); };
 
-  rtc::SessionResult reference;
+  rtc::SharedSessionResult reference;
   {
     runner::ResultCache cache({dir});
     reference = cache.GetOrCompute(key, compute);
@@ -314,9 +322,10 @@ TEST(ResultCacheTest, NonRegularFileAtBlobPathIsAMiss) {
     ASSERT_TRUE(s.make(dir + "/" + key.ToHex() + ".rrc"));
 
     runner::ResultCache cache({dir});
-    rtc::SessionResult recomputed;
+    rtc::SharedSessionResult recomputed;
     EXPECT_NO_THROW(recomputed = cache.GetOrCompute(key, compute));
-    ExpectBitIdentical(reference, recomputed);
+    ASSERT_NE(recomputed, nullptr);
+    ExpectBitIdentical(reference, *recomputed);
     EXPECT_EQ(cache.stats().corrupt, 1u);
     EXPECT_EQ(cache.stats().computes, 1u);
     fs::remove_all(dir);
@@ -328,7 +337,7 @@ TEST(ResultCacheTest, BlobLargerThanCapIsAMiss) {
   const auto config = SmallConfig();
   const runner::SessionKey key = runner::ComputeSessionKey(config);
   auto compute = [&] { return rtc::RunSession(config); };
-  rtc::SessionResult reference;
+  rtc::SharedSessionResult reference;
   {
     runner::ResultCache cache({dir});
     reference = cache.GetOrCompute(key, compute);
@@ -366,7 +375,7 @@ TEST(ResultCacheTest, InflightDedupUnderConcurrency) {
   const runner::SessionKey key = runner::ComputeSessionKey(config);
 
   std::vector<std::thread> threads;
-  std::vector<rtc::SessionResult> results(8);
+  std::vector<rtc::SharedSessionResult> results(8);
   for (size_t i = 0; i < results.size(); ++i) {
     threads.emplace_back([&, i] {
       results[i] =
@@ -379,8 +388,23 @@ TEST(ResultCacheTest, InflightDedupUnderConcurrency) {
   EXPECT_EQ(cache.stats().computes, 1u);
   EXPECT_EQ(cache.stats().memory_hits, results.size() - 1);
   for (size_t i = 1; i < results.size(); ++i) {
-    ExpectBitIdentical(results[0], results[i]);
+    EXPECT_EQ(results[0].get(), results[i].get());
   }
+}
+
+// A result handed out by the cache keeps its entry alive: it stays readable
+// after the cache that computed it is gone.
+TEST(ResultCacheTest, SharedResultOutlivesItsCache) {
+  const auto config = SmallConfig();
+  rtc::SharedSessionResult kept;
+  {
+    runner::ResultCache cache;
+    kept = cache.GetOrCompute(runner::ComputeSessionKey(config),
+                              [&] { return rtc::RunSession(config); });
+  }
+  ASSERT_NE(kept, nullptr);
+  EXPECT_EQ(kept.use_count(), 1);
+  ExpectBitIdentical(rtc::RunSession(config), *kept);
 }
 
 // Two cache instances (standing in for two processes) hammer one directory
@@ -393,15 +417,15 @@ TEST(ResultCacheTest, ConcurrentWritersToOneDirectory) {
 
   const uint64_t seeds[] = {11, 12, 13, 14};
   auto work = [&](runner::ResultCache& cache,
-                  std::vector<rtc::SessionResult>* out) {
+                  std::vector<rtc::SharedSessionResult>* out) {
     for (uint64_t seed : seeds) {
       const auto config = SmallConfig(seed);
       out->push_back(cache.GetOrCompute(runner::ComputeSessionKey(config),
                                         [&] { return rtc::RunSession(config); }));
     }
   };
-  std::vector<rtc::SessionResult> results_a;
-  std::vector<rtc::SessionResult> results_b;
+  std::vector<rtc::SharedSessionResult> results_a;
+  std::vector<rtc::SharedSessionResult> results_b;
   std::thread ta([&] { work(cache_a, &results_a); });
   std::thread tb([&] { work(cache_b, &results_b); });
   ta.join();

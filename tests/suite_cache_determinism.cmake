@@ -6,6 +6,14 @@
 #
 #   cmake -DBINARY=<run_suite> -DOUT=<scratch-dir> [-DEXTRA_ARGS=...]
 #         -P suite_cache_determinism.cmake
+
+# Compare what this build computes: a result-cache directory or a coalescing
+# switch inherited from the calling shell must not decide the bytes (a warm
+# RAVE_CACHE_DIR serves results from whatever build filled it).
+unset(ENV{RAVE_CACHE_DIR})
+unset(ENV{RAVE_CACHE_MAX_MB})
+unset(ENV{RAVE_NO_COALESCE})
+
 if(NOT DEFINED BINARY OR NOT DEFINED OUT)
   message(FATAL_ERROR "suite_cache_determinism.cmake needs -DBINARY and -DOUT")
 endif()

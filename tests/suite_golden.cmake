@@ -38,6 +38,14 @@
 #   cmake -DBINARY=<run_suite> -DGOLDEN=<tests/golden> -DOUT=<scratch-dir>
 #         -P suite_golden.cmake
 cmake_minimum_required(VERSION 3.16)
+
+# Compare what this build computes: a result-cache directory or a coalescing
+# switch inherited from the calling shell must not decide the bytes (a warm
+# RAVE_CACHE_DIR serves results from whatever build filled it).
+unset(ENV{RAVE_CACHE_DIR})
+unset(ENV{RAVE_CACHE_MAX_MB})
+unset(ENV{RAVE_NO_COALESCE})
+
 if(NOT DEFINED BINARY OR NOT DEFINED GOLDEN OR NOT DEFINED OUT)
   message(FATAL_ERROR "suite_golden.cmake needs -DBINARY/-DGOLDEN/-DOUT")
 endif()
