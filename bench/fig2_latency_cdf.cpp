@@ -46,6 +46,7 @@ int bench::Fig2LatencyCdfMain(int argc, char** argv) {
       configs.push_back(std::move(config));
     }
   }
+  for (rtc::SessionConfig& config : configs) config.keep_frame_detail = false;
   const auto results = bench::RunMatrix(configs, options.jobs);
 
   // Per-scheme aggregation is a sketch merge: O(sketch) memory however many

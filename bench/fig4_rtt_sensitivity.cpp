@@ -31,6 +31,7 @@ int bench::Fig4RttSensitivityMain(int argc, char** argv) {
       }
     }
   }
+  for (rtc::SessionConfig& config : configs) config.keep_frame_detail = false;
   const auto results = bench::RunMatrix(configs, options.jobs);
 
   std::cout << "Fig 4: latency vs feedback RTT (50% drop at t=10s, "

@@ -30,6 +30,7 @@ int bench::Fig5QueueDepthMain(int argc, char** argv) {
       }
     }
   }
+  for (rtc::SessionConfig& config : configs) config.keep_frame_detail = false;
   const auto results = bench::RunMatrix(configs, options.jobs);
 
   std::cout << "Fig 5: latency/loss vs bottleneck queue depth "

@@ -56,6 +56,7 @@ int bench::Fig7LossResilienceMain(int argc, char** argv) {
       }
     }
   }
+  for (rtc::SessionConfig& config : configs) config.keep_frame_detail = false;
   const auto results = bench::RunMatrix(configs, options.jobs);
 
   size_t next = 0;

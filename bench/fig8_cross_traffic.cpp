@@ -38,6 +38,7 @@ int bench::Fig8CrossTrafficMain(int argc, char** argv) {
       }
     }
   }
+  for (rtc::SessionConfig& config : configs) config.keep_frame_detail = false;
   const auto results = bench::RunMatrix(configs, options.jobs);
 
   std::cout << "Fig 8: on/off cross traffic sharing a 2.5 Mbps bottleneck "

@@ -33,6 +33,7 @@ int bench::Fig9RenderLatencyMain(int argc, char** argv) {
       }
     }
   }
+  for (rtc::SessionConfig& config : configs) config.keep_frame_detail = false;
   const auto results = bench::RunMatrix(configs, options.jobs);
 
   std::cout << "Fig 9: render latency (network + adaptive playout) across "

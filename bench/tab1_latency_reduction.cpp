@@ -29,6 +29,7 @@ int bench::Tab1LatencyReductionMain(int argc, char** argv) {
       }
     }
   }
+  for (rtc::SessionConfig& config : configs) config.keep_frame_detail = false;
   const auto results = bench::RunMatrix(configs, options.jobs);
 
   Table table({"severity", "content", "abr-mean(ms)", "adp-mean(ms)",

@@ -30,6 +30,7 @@ int bench::Tab2QualityMain(int argc, char** argv) {
       }
     }
   }
+  for (rtc::SessionConfig& config : configs) config.keep_frame_detail = false;
   const auto results = bench::RunMatrix(configs, options.jobs);
 
   Table table({"severity", "content", "abr-ssim", "adp-ssim", "enc-gain(%)",

@@ -70,6 +70,7 @@ void RunSweep(double severity, TimeDelta duration, int jobs) {
       }
     }
   }
+  for (rtc::SessionConfig& config : configs) config.keep_frame_detail = false;
   const auto results = bench::RunMatrix(configs, jobs);
 
   std::cout << "Tab 3: ablation (" << static_cast<int>(severity * 100)

@@ -27,6 +27,7 @@ int bench::Tab5SchemesMain(int argc, char** argv) {
       }
     }
   }
+  for (rtc::SessionConfig& config : configs) config.keep_frame_detail = false;
   const auto results = bench::RunMatrix(configs, options.jobs);
 
   std::cout << "Tab 5: scheme comparison over the full trace suite ("

@@ -39,6 +39,7 @@ int bench::Tab6FecMain(int argc, char** argv) {
       configs.push_back(std::move(config));
     }
   }
+  for (rtc::SessionConfig& config : configs) config.keep_frame_detail = false;
   const auto results = bench::RunMatrix(configs, options.jobs);
 
   std::cout << "Tab 6: loss recovery on a 2% i.i.d.-loss link "

@@ -56,7 +56,8 @@ void AdaptiveRateControl::SetTargetRate(DataRate target) {
 }
 
 codec::FrameGuidance AdaptiveRateControl::PlanFrame(
-    const video::RawFrame& frame, codec::FrameType type, Timestamp now) {
+    const video::RawFrame& frame, codec::FrameType type,
+    [[maybe_unused]] Timestamp now) {  // read only by the trace macro
   FrameBudget budget =
       allocator_.Allocate(state_, drop_active_, type, consecutive_skips_);
   RAVE_TRACE_COUNTER(kFrameBudgetKbits, now,

@@ -67,6 +67,8 @@ class CircuitBreaker {
     /// Total time spent starved (open or paused).
     TimeDelta time_open = TimeDelta::Zero();
     TimeDelta time_paused = TimeDelta::Zero();
+
+    bool operator==(const Stats&) const = default;
   };
 
   explicit CircuitBreaker(const Config& config);

@@ -69,6 +69,8 @@ struct SessionSummary {
 
   double encoded_bitrate_kbps = 0.0;  // mean over the session
   int64_t total_reencodes = 0;
+
+  bool operator==(const SessionSummary&) const = default;
 };
 
 /// Collector owned by the session.

@@ -43,6 +43,8 @@ struct LinkStats {
   int64_t renegotiations = 0;
   DataSize bytes_delivered = DataSize::Zero();
   DataSize bytes_dropped = DataSize::Zero();
+
+  bool operator==(const LinkStats&) const = default;
 };
 
 /// One-directional bottleneck. Delivery callback fires at the receiver-side

@@ -503,9 +503,12 @@ SessionResult Session::Run() {
   obs::QuantileSketch* latency = registry_.GetSketch("frame.latency_ms");
   for (double ms : metrics_.DeliveredLatenciesMs()) latency->Record(ms);
   result.metrics = registry_.Snapshot();
-  // Everything that reads the frame records has run: hand them over.
-  result.frames = metrics_.TakeFrames();
-  result.timeseries = metrics_.TakeTimeseries();
+  // Everything that reads the frame records has run: hand them over, or
+  // let them go with the session when the caller wants the summary only.
+  if (config_.keep_frame_detail) {
+    result.frames = metrics_.TakeFrames();
+    result.timeseries = metrics_.TakeTimeseries();
+  }
 
   obs::RuntimeStats::Instance().RecordSession(
       static_cast<double>(wall_ns) * 1e-6, result.events_executed,

@@ -105,12 +105,23 @@ struct SessionConfig {
   std::string wireless_profile;
 
   TimeDelta timeseries_interval = TimeDelta::Millis(100);
+
+  /// Whether the result carries the per-frame records and the timeseries.
+  /// When false, Run() still derives the summary, the latency sketch and
+  /// the registry snapshot from them, but returns `frames` and `timeseries`
+  /// empty; the simulation itself is unchanged. For callers that read only
+  /// summaries and sketches and keep many results alive (the suite
+  /// harnesses' cached matrices). Part of the session key, so a
+  /// summary-only result never serves a caller that wants detail.
+  bool keep_frame_detail = true;
 };
 
 /// Everything a run produces.
 struct SessionResult {
   std::string scheme_name;
   metrics::SessionSummary summary;
+  /// Per-frame records and control-plane timeseries; both empty when the
+  /// config's `keep_frame_detail` is false.
   std::vector<metrics::FrameRecord> frames;
   std::vector<metrics::TimeseriesPoint> timeseries;
   net::LinkStats link_stats;

@@ -304,6 +304,7 @@ SessionKey ComputeSessionKey(const rtc::SessionConfig& c) {
   w.Str(c.wireless_profile);
 
   PutDelta(w, c.timeseries_interval);
+  w.Bool(c.keep_frame_detail);
 
   const std::vector<uint8_t>& bytes = w.bytes();
   return HashBytes(bytes.data(), bytes.size(), kSimFingerprint);

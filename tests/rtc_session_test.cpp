@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/fault_plan.h"
 #include "net/capacity_trace.h"
 
 namespace rave::rtc {
@@ -129,6 +130,57 @@ TEST(SessionTest, TimeseriesCoversSession) {
   EXPECT_NEAR(static_cast<double>(result.timeseries.size()), 200.0, 3.0);
   EXPECT_EQ(result.timeseries.front().capacity_kbps, 2500.0);
   EXPECT_EQ(result.timeseries.back().capacity_kbps, 1000.0);
+}
+
+obs::RegistrySnapshot WithoutWallMetrics(const obs::RegistrySnapshot& s) {
+  obs::RegistrySnapshot out;
+  for (const obs::MetricSnapshot& m : s.metrics) {
+    if (m.name.rfind("wall.", 0) != 0) out.metrics.push_back(m);
+  }
+  return out;
+}
+
+// A summary-only run drops the per-frame records and the timeseries and
+// nothing else: everything derived from them is what the full run reports.
+// Returns the full run.
+SessionResult ExpectSummaryOnlyMatchesFull(SessionConfig config) {
+  config.keep_frame_detail = true;
+  const SessionResult full = RunSession(config);
+  config.keep_frame_detail = false;
+  const SessionResult lean = RunSession(config);
+
+  EXPECT_FALSE(full.frames.empty());
+  EXPECT_FALSE(full.timeseries.empty());
+  EXPECT_TRUE(lean.frames.empty());
+  EXPECT_TRUE(lean.timeseries.empty());
+  EXPECT_EQ(lean.scheme_name, full.scheme_name);
+  EXPECT_TRUE(lean.summary == full.summary);
+  EXPECT_TRUE(lean.link_stats == full.link_stats);
+  EXPECT_TRUE(lean.breaker_stats == full.breaker_stats);
+  EXPECT_EQ(lean.events_executed, full.events_executed);
+  EXPECT_TRUE(WithoutWallMetrics(lean.metrics) ==
+              WithoutWallMetrics(full.metrics));
+  return full;
+}
+
+TEST(SessionTest, SummaryOnlyResultMatchesFullRun) {
+  ExpectSummaryOnlyMatchesFull(BaseConfig(Scheme::kAdaptive));
+}
+
+TEST(SessionTest, SummaryOnlyResultMatchesFullRunUnderFaults) {
+  // fig10's duplication + reordering scenario on its steady link.
+  SessionConfig config = BaseConfig(Scheme::kX264Abr);
+  config.link.trace =
+      net::CapacityTrace::Constant(DataRate::KilobitsPerSec(2500));
+  config.faults =
+      fault::FaultPlan()
+          .DuplicationBurst(Timestamp::Seconds(10), TimeDelta::Seconds(5), 0.2)
+          .ReorderBurst(Timestamp::Seconds(10), TimeDelta::Seconds(5), 0.2,
+                        TimeDelta::Millis(40));
+  const SessionResult result = ExpectSummaryOnlyMatchesFull(config);
+  // The faults fired.
+  EXPECT_GT(result.link_stats.packets_duplicated, 0);
+  EXPECT_GT(result.link_stats.packets_reordered, 0);
 }
 
 TEST(SessionTest, DegradationReducesResolutionUnderStarvation) {

@@ -86,6 +86,8 @@ TEST(ParallelRunnerTest, ParallelMatchesSerialOverDropSuite) {
     EXPECT_EQ(serial[i]->scheme_name, parallel[i]->scheme_name);
     EXPECT_EQ(serial[i]->events_executed, parallel[i]->events_executed);
     ExpectSameSummary(serial[i]->summary, parallel[i]->summary);
+    ASSERT_FALSE(serial[i]->frames.empty());
+    ASSERT_FALSE(serial[i]->timeseries.empty());
     ExpectSameFrames(serial[i]->frames, parallel[i]->frames);
     ExpectSameLinkStats(serial[i]->link_stats, parallel[i]->link_stats);
     ASSERT_EQ(serial[i]->timeseries.size(), parallel[i]->timeseries.size());
@@ -242,6 +244,7 @@ TEST(ParallelRunnerTest, CacheBackedRunMatchesUncached) {
     ExpectSameSummary(uncached[i]->summary, cold[i]->summary);
     ExpectSameSummary(uncached[i]->summary, warm[i]->summary);
     ExpectSameSummary(uncached[i]->summary, warm_serial[i]->summary);
+    ASSERT_FALSE(uncached[i]->frames.empty());
     ExpectSameFrames(uncached[i]->frames, warm[i]->frames);
     ExpectSameFrames(uncached[i]->frames, warm_serial[i]->frames);
     ExpectSameLinkStats(uncached[i]->link_stats, warm[i]->link_stats);

@@ -113,6 +113,12 @@ TEST(SessionKeyTest, EveryVariedFieldChangesTheKey) {
     add(config);
   }
   {
+    // A summary-only result must never serve a caller that reads frames.
+    auto config = BaseConfig();
+    config.keep_frame_detail = !config.keep_frame_detail;
+    add(config);
+  }
+  {
     auto config = BaseConfig();
     config.faults =
         fault::FaultPlan().Outage(Timestamp::Seconds(5), TimeDelta::Seconds(1));

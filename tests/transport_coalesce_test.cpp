@@ -65,6 +65,7 @@ void ExpectIdentical(const rtc::SessionResult& a, const rtc::SessionResult& b) {
   EXPECT_EQ(sa.encoded_bitrate_kbps, sb.encoded_bitrate_kbps);
   EXPECT_EQ(sa.total_reencodes, sb.total_reencodes);
 
+  ASSERT_FALSE(a.frames.empty());
   ASSERT_EQ(a.frames.size(), b.frames.size());
   for (size_t i = 0; i < a.frames.size(); ++i) {
     EXPECT_EQ(a.frames[i].frame_id, b.frames[i].frame_id) << "frame " << i;
@@ -80,6 +81,7 @@ void ExpectIdentical(const rtc::SessionResult& a, const rtc::SessionResult& b) {
     }
   }
 
+  ASSERT_FALSE(a.timeseries.empty());
   ASSERT_EQ(a.timeseries.size(), b.timeseries.size());
   for (size_t i = 0; i < a.timeseries.size(); ++i) {
     const metrics::TimeseriesPoint& pa = a.timeseries[i];
